@@ -9,7 +9,7 @@
 //	ppqbench -experiment perf -json BENCH_PPQ.json -label my-change
 //
 // Experiments: table2 table3 table4 table56 table7 table8 table9
-// figure7 figure8 figure9 perf serve cache wal window load all. The perf
+// figure7 figure8 figure9 perf serve cache wal load obs repl all. The perf
 // experiment measures the three hot paths (per-tick build, engine
 // construction, STRQ) on the standard SyntheticPorto(2000, 42) workload;
 // the serve experiment drives the repository server's mixed ingest/query
@@ -18,13 +18,7 @@
 // set against sealed segments to measure the decoded-cell cache's
 // cached-vs-cold speedup; the wal experiment prices the durability
 // spectrum — ingest throughput under each write-ahead-log sync policy
-// (never / interval / always) plus crash-replay speed; the window
-// experiment replays 512-tick window queries through the per-tick and
-// range-scan executors and records the speedup plus zone-map skip rates;
-// the exec experiment replays the same 512-tick windows through the
-// fused range pipeline and the composed iterator executor on one warmed
-// repository, cross-checking every answer and recording the iter/fused
-// ratio plus plan/operator telemetry;
+// (never / interval / always) plus crash-replay speed;
 // the load experiment sweeps an open-loop offered-QPS ladder against a
 // fully-armed server (fsync=always, group commit, admission control)
 // recording served QPS, shed rate, and latency percentiles per rung;
@@ -45,11 +39,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment to run (table2..table9, figure7..figure9, perf, serve, cache, wal, window, exec, load, repl, all)")
+	exp := flag.String("experiment", "all", "experiment to run (table2..table9, figure7..figure9, perf, serve, cache, wal, load, obs, repl, all)")
 	scaleName := flag.String("scale", "small", "dataset scale: small or full")
 	queries := flag.Int("queries", 0, "override query/probe/window count (0 = scale default)")
-	jsonPath := flag.String("json", "", "perf/serve/cache/wal/window only: append the run to this JSON history file")
-	label := flag.String("label", "dev", "perf/serve/cache/wal/window only: label recorded with the run")
+	jsonPath := flag.String("json", "", "perf/serve/cache/wal/load/obs/repl only: append the run to this JSON history file")
+	label := flag.String("label", "dev", "perf/serve/cache/wal/load/obs/repl only: label recorded with the run")
 	flag.Parse()
 
 	s := bench.Small
@@ -146,30 +140,6 @@ func main() {
 		}
 		fmt.Fprintf(w, "[load completed in %.1fs]\n\n", time.Since(start).Seconds())
 	}
-	if *exp == "window" {
-		start := time.Now()
-		if *jsonPath != "" {
-			if err := bench.AppendWindow(*jsonPath, *label, *queries, w); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			bench.WindowBench(*label, *queries, w)
-		}
-		fmt.Fprintf(w, "[window completed in %.1fs]\n\n", time.Since(start).Seconds())
-	}
-	if *exp == "exec" {
-		start := time.Now()
-		if *jsonPath != "" {
-			if err := bench.AppendExec(*jsonPath, *label, *queries, w); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			bench.ExecBench(*label, *queries, w)
-		}
-		fmt.Fprintf(w, "[exec completed in %.1fs]\n\n", time.Since(start).Seconds())
-	}
 	if *exp == "repl" {
 		start := time.Now()
 		if *jsonPath != "" {
@@ -197,7 +167,7 @@ func main() {
 
 	switch *exp {
 	case "all", "table2", "table3", "table4", "table56", "table7", "table8",
-		"table9", "figure7", "figure8", "figure9", "perf", "serve", "cache", "wal", "window", "exec", "load", "obs", "repl":
+		"table9", "figure7", "figure8", "figure9", "perf", "serve", "cache", "wal", "load", "obs", "repl":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()

@@ -47,10 +47,9 @@ type PerfFile struct {
 	// WALRuns tracks ingest throughput under each WAL sync policy plus
 	// crash-replay speed (ppqbench -experiment wal).
 	WALRuns []WALRun `json:"wal_runs,omitempty"`
-	// WindowRuns tracks the window executor's 512-tick replay: per-tick
-	// baseline vs range-scan medians and zone-map skip rates (ppqbench
-	// -experiment window).
-	WindowRuns []WindowRun `json:"window_runs,omitempty"`
+	// WindowRuns holds the retired window experiment's recorded runs
+	// (per-tick vs range-scan 512-tick replays), kept verbatim as history.
+	WindowRuns json.RawMessage `json:"window_runs,omitempty"`
 	// LoadRuns tracks the overload ladder: open-loop offered QPS vs
 	// served QPS, shed rate, and served-latency percentiles against a
 	// fully-armed server (ppqbench -experiment load).
@@ -59,10 +58,9 @@ type PerfFile struct {
 	// counter increment / histogram observation / trace lap (ppqbench
 	// -experiment obs).
 	ObsRuns []ObsRun `json:"obs_runs,omitempty"`
-	// ExecRuns tracks the iterator executor against the fused floor on
-	// the 512-tick window replay: medians per executor, their ratio, and
-	// the iterator's plan/operator telemetry (ppqbench -experiment exec).
-	ExecRuns []ExecRun `json:"exec_runs,omitempty"`
+	// ExecRuns holds the retired exec experiment's recorded runs (fused
+	// vs iterator window executors), kept verbatim as history.
+	ExecRuns json.RawMessage `json:"exec_runs,omitempty"`
 	// ReplRuns tracks WAL-shipped replication: cold-follower catch-up
 	// bandwidth and the sampled staleness of a follower tailing full-rate
 	// ingest (ppqbench -experiment repl).

@@ -3,9 +3,9 @@ package exec
 import "ppqtraj/internal/geo"
 
 // Class is the once-per-cell margin classification — the rect filter
-// pushed below the decode. It reproduces the fused STRQRange's cell
-// triage exactly (same geometry, same epsilon), so the two executors
-// prune identical cell sets.
+// pushed below the decode. It uses the same geometry and epsilon as the
+// engine's per-tick candidate filter (query.Engine.STRQRect), so a range
+// plan keeps exactly the cells a per-tick probe would.
 type Class uint8
 
 const (

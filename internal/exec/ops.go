@@ -18,8 +18,8 @@ type Reconstructor interface {
 
 // VerifyOp filters Check batches by the per-trajectory
 // reconstruction-distance test (the local-search filter); Sure batches
-// pass through untouched. Its output rows are exactly the fused path's
-// per-tick candidate set, before sorting.
+// pass through untouched. Its output rows are exactly the per-tick
+// STRQRect candidate set, before sorting.
 type VerifyOp struct {
 	ctx  context.Context
 	in   Iterator

@@ -16,8 +16,8 @@ import (
 //
 // One pool fetch replaces the half-dozen operator, cursor, and scratch
 // allocations a compositional executor would otherwise pay per scan,
-// which is what keeps the iterator plans within reach of the fused
-// pipeline's pooled rangeScratch. The Instrument stages appear only
+// which keeps a warm window plan's allocations flat in the number of
+// segments it scans. The Instrument stages appear only
 // when a trace is attached; untraced plans pay nothing for them.
 type ScanPipe struct {
 	cur    index.RangeCursor

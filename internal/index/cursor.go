@@ -7,14 +7,11 @@ import (
 	"ppqtraj/internal/traj"
 )
 
-// This file is the pull-based counterpart of scan.go: a resumable cursor
-// that yields the work of ScanRange one populated cell at a time, so an
-// iterator executor can interleave decode with downstream filtering and
-// abort between cells without threading abort flags through callbacks.
-// The cursor and ScanRange share the same cell enumeration
-// (forEachCellIn) and the same per-cell decode (scanCell), so their
-// emitted postings and ScanStats accounting are identical when the
-// cursor is drained.
+// This file is the pull-based range scan: a resumable cursor that walks
+// every populated cell intersecting an area exactly once, yielding one
+// cell's postings per pull, so an iterator executor can interleave decode
+// with downstream filtering and abort between cells without threading
+// abort flags through callbacks.
 
 // forEachCellIn calls f for every populated cell of r whose coordinates
 // fall inside area's cell range: via the (X, Y)-sorted directory with
@@ -87,12 +84,11 @@ type pendingCell struct {
 	ci int32
 }
 
-// RangeCursor pulls ScanRange's work one cell at a time. Cell
+// RangeCursor pulls a range scan one populated cell at a time. Cell
 // enumeration is materialized a region at a time (directory walking
 // only — cheap); decode, cache traffic, and stats accounting happen
 // lazily per pull, so abandoning the cursor early skips the decode work
-// of every cell not pulled. A fully drained cursor produces exactly the
-// cells, postings, and ScanStats of the equivalent ScanRange call.
+// of every cell not pulled.
 type RangeCursor struct {
 	t        *TPI
 	area     geo.Rect
@@ -118,9 +114,14 @@ type RangeCursor struct {
 }
 
 // RangeCursor returns a cursor over every populated cell intersecting
-// area with postings in [from, to], across all overlapping periods.
-// The visit callback and st accounting follow the ScanRange contract;
-// both are invoked lazily as cells are pulled.
+// area with postings in [from, to], across all overlapping periods
+// (per-period spans are clipped, so each posting is emitted at most
+// once). Cells whose per-cell tick range (first/last posting tick — the
+// cell-level zone map) cannot intersect the span are skipped before any
+// decode and counted in st.CellsSkipped. visit, when non-nil, is called
+// with a candidate cell's rectangle before its decode; returning false
+// skips the cell (the caller's margin pruning hook), also counted as
+// skipped. Both are invoked lazily as cells are pulled.
 func (t *TPI) RangeCursor(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool) *RangeCursor {
 	c := &RangeCursor{}
 	c.Reset(t, area, from, to, st, visit)
@@ -201,8 +202,8 @@ func (c *RangeCursor) fill() bool {
 			}
 		}
 		// Hot loop: keep the area and region index in locals so the
-		// enumeration runs at ScanRange's speed despite the cursor's
-		// state living behind a pointer.
+		// enumeration does not pay for the cursor's state living behind
+		// a pointer.
 		regions, area, ri := c.pi.Regions, c.area, c.ri
 		for ri < len(regions) {
 			r := regions[ri]

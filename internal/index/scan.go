@@ -9,13 +9,15 @@ import (
 	"ppqtraj/internal/traj"
 )
 
-// This file implements the segment-native range scan: the multi-tick
-// counterpart of LookupArea. A T-tick window answered by per-tick probes
-// re-resolves the candidate cells, re-walks each cell's posting list, and
-// re-decodes (or re-fetches from the cache) T times; ScanRange resolves
-// the cells once, walks each cell's tick-sorted postings once across the
-// whole span, and decodes each tick chunk at most once — so the per-tick
-// cost collapses to the emit itself.
+// This file holds the range scan's shared pieces: the per-cell tick-range
+// zone check and the per-cell posting walk RangeCursor pulls through, the
+// scan accounting it reports, and the period-level tick-coverage and
+// populated-cell summaries the serving layer's planner reads. A T-tick
+// window answered by per-tick probes re-resolves the candidate cells,
+// re-walks each cell's posting list, and re-decodes (or re-fetches from
+// the cache) T times; the range scan resolves the cells once, walks each
+// cell's tick-sorted postings once across the whole span, and decodes
+// each tick chunk at most once.
 
 // ScanStats counts the range-scan planner's per-cell work; callers
 // accumulate it into their own zone-map skip telemetry.
@@ -44,52 +46,6 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.CacheMisses += o.CacheMisses
 	s.DecodedBytes += o.DecodedBytes
 	s.DecodeNanos += o.DecodeNanos
-}
-
-// ScanRange walks every populated cell intersecting area exactly once,
-// emitting the decoded posting list of each (cell, tick) with
-// from ≤ tick ≤ to. For each candidate cell, visit is called with the
-// cell's rectangle before any decode; returning false skips the cell
-// (the caller's margin/zone pruning hook). emit receives the ticks of one
-// cell in ascending order (ticks restart for the next cell) and returns
-// false to abort the scan; ScanRange reports whether it ran to
-// completion. Emitted slices may be shared with the decoded-cell cache
-// and must not be modified.
-//
-// Cells whose per-cell tick range (first/last posting tick — the
-// cell-level zone map) cannot intersect [from, to] are skipped before
-// visit and counted in st.CellsSkipped.
-func (pi *PI) ScanRange(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool, emit func(tick int, ids []traj.ID) bool) bool {
-	if to < from {
-		return true
-	}
-	for ri, r := range pi.Regions {
-		if !r.Rect.Intersects(area) {
-			continue
-		}
-		// A sealed region carries an (X, Y)-sorted cell directory: the
-		// walk (forEachCellIn, shared with RangeCursor) binary-searches
-		// each X column's band instead of hashing every candidate
-		// coordinate of the scan rectangle. Emission order across cells
-		// is unspecified either way — callers bucket per tick and sort.
-		ok := r.forEachCellIn(area, func(k cellKey, ci int32) bool {
-			c := r.cellPtr(ci)
-			if !pi.cellMayOverlap(c, from, to) {
-				st.CellsSkipped++
-				return true
-			}
-			if visit != nil && !visit(r.cellRectOf(k)) {
-				st.CellsSkipped++
-				return true
-			}
-			st.CellsScanned++
-			return pi.scanCell(int32(ri), ci, c, from, to, st, emit)
-		})
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // cellMayOverlap is the per-cell tick-range zone check: postings are
@@ -158,23 +114,6 @@ func (pi *PI) scanCell(ri, ci int32, c *cellData, from, to int, st *ScanStats, e
 		}
 		for i < len(c.sealed) && cache.Chunk(int(c.sealed[i].tick)) == ch {
 			i++
-		}
-	}
-	return true
-}
-
-// ScanRange runs the range scan over every period overlapping [from, to];
-// per-period spans are clipped, so each posting is visited at most once.
-// See PI.ScanRange for the callback contract.
-func (t *TPI) ScanRange(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool, emit func(tick int, ids []traj.ID) bool) bool {
-	for i := range t.Periods {
-		p := &t.Periods[i]
-		lo, hi := max(from, p.Start), min(to, p.End)
-		if lo > hi {
-			continue
-		}
-		if !p.PI.ScanRange(area, lo, hi, st, visit, emit) {
-			return false
 		}
 	}
 	return true

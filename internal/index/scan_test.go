@@ -3,7 +3,7 @@ package index
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"ppqtraj/internal/cache"
@@ -36,22 +36,10 @@ func scanTestTPI(t *testing.T, withCache bool, seal bool) *TPI {
 	return tpi
 }
 
-// collectScan runs ScanRange and folds the emitted postings into sorted,
-// deduplicated per-tick ID sets.
-func collectScan(tpi *TPI, area geo.Rect, from, to int) (map[int][]traj.ID, ScanStats) {
-	var st ScanStats
-	got := make(map[int][]traj.ID)
-	tpi.ScanRange(area, from, to, &st, nil, func(tick int, ids []traj.ID) bool {
-		got[tick] = append(got[tick], ids...)
-		return true
-	})
-	for tick, ids := range got {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		got[tick] = traj.DedupSorted(ids)
-	}
-	return got, st
-}
-
+// TestScanRangeMatchesPerTickLookupArea checks the range scan (a
+// drained RangeCursor) against its per-tick reference: the postings it
+// emits for every tick of the span equal LookupArea's at that tick, on
+// raw, sealed, and cached indexes across random areas and spans.
 func TestScanRangeMatchesPerTickLookupArea(t *testing.T) {
 	for _, cfg := range []struct {
 		name            string
@@ -66,7 +54,7 @@ func TestScanRangeMatchesPerTickLookupArea(t *testing.T) {
 				area := geo.Rect{MinX: cx, MinY: cy, MaxX: cx + w, MaxY: cy + w}
 				from := rng.Intn(45) - 2
 				to := from + rng.Intn(45)
-				got, _ := collectScan(tpi, area, from, to)
+				got, _, _ := collectCursor(tpi, area, from, to, nil)
 				want := make(map[int][]traj.ID)
 				for tick := from; tick <= to; tick++ {
 					if ids := tpi.LookupArea(area, tick, nil); len(ids) > 0 {
@@ -81,11 +69,13 @@ func TestScanRangeMatchesPerTickLookupArea(t *testing.T) {
 	}
 }
 
+// TestScanRangeTickRangePruning checks the cell-level zone map: cells
+// whose posting tick range misses the span are skipped before decode.
 func TestScanRangeTickRangePruning(t *testing.T) {
 	tpi := scanTestTPI(t, false, true)
 	// A span with no data at all: every populated cell is pruned by its
 	// tick range, nothing is scanned.
-	got, st := collectScan(tpi, geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 100, 140)
+	got, st, _ := collectCursor(tpi, geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 100, 140, nil)
 	if len(got) != 0 {
 		t.Fatalf("scan past the data returned %v", got)
 	}
@@ -95,37 +85,83 @@ func TestScanRangeTickRangePruning(t *testing.T) {
 	// The early ticks live in the early periods only; scanning them must
 	// not walk cells populated exclusively later. (Cells are per period,
 	// so the late periods' regions contribute skips or nothing.)
-	_, st = collectScan(tpi, geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 3, 4)
+	_, st, _ = collectCursor(tpi, geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 3, 4, nil)
 	if st.CellsScanned == 0 {
 		t.Fatalf("expected some cells scanned over populated ticks, got %+v", st)
 	}
 }
 
+// TestScanRangeVisitVeto checks the visit hook's per-cell granularity:
+// vetoing the cells on either side of a line partitions the scan — each
+// half emits only its own cells, the halves' rows add up to the full
+// scan's, and each vetoed cell moves from scanned to skipped.
 func TestScanRangeVisitVeto(t *testing.T) {
 	tpi := scanTestTPI(t, false, true)
 	area := geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}
-	var st ScanStats
-	emitted := 0
-	tpi.ScanRange(area, 0, 50, &st, func(geo.Rect) bool { return false }, func(int, []traj.ID) bool {
-		emitted++
-		return true
-	})
-	if emitted != 0 || st.CellsScanned != 0 || st.CellsSkipped == 0 {
-		t.Fatalf("vetoing visit still scanned: emitted=%d stats=%+v", emitted, st)
+	scan := func(keep func(cell geo.Rect) bool) (rows int, st ScanStats) {
+		cur := tpi.RangeCursor(area, 0, 50, &st, keep)
+		for {
+			cs, ok := cur.Next()
+			if !ok {
+				return rows, st
+			}
+			if keep != nil && !keep(cs.Cell) {
+				t.Fatalf("vetoed cell %v emitted", cs.Cell)
+			}
+			for _, ids := range cs.IDs {
+				rows += len(ids)
+			}
+		}
+	}
+	const line = 4.0
+	allRows, all := scan(nil)
+	eastRows, east := scan(func(c geo.Rect) bool { return c.MaxX > line })
+	westRows, west := scan(func(c geo.Rect) bool { return c.MaxX <= line })
+	if eastRows == 0 || westRows == 0 || eastRows+westRows != allRows {
+		t.Fatalf("rows: east %d + west %d vs all %d", eastRows, westRows, allRows)
+	}
+	if east.CellsScanned+west.CellsScanned != all.CellsScanned ||
+		east.CellsSkipped != all.CellsSkipped+west.CellsScanned {
+		t.Fatalf("stats: east %+v west %+v all %+v", east, west, all)
+	}
+	none, st := scan(func(geo.Rect) bool { return false })
+	if none != 0 || st.CellsScanned != 0 || st.CellsSkipped != all.CellsScanned+all.CellsSkipped {
+		t.Fatalf("vetoing visit still scanned: rows=%d stats=%+v", none, st)
 	}
 }
 
+// TestScanRangeAbort checks a scan abandoned mid-walk leaves the cursor
+// reusable: Reset re-aims it (the pooled-pipeline path after an early
+// Close or a spent Limit) and the next drain is the full answer.
 func TestScanRangeAbort(t *testing.T) {
 	tpi := scanTestTPI(t, false, true)
 	area := geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}
+	want, wantSt, _ := collectCursor(tpi, area, 0, 50, nil)
 	var st ScanStats
-	emitted := 0
-	completed := tpi.ScanRange(area, 0, 50, &st, nil, func(int, []traj.ID) bool {
-		emitted++
-		return emitted < 3
-	})
-	if completed || emitted != 3 {
-		t.Fatalf("abort after 3 emits: completed=%v emitted=%d", completed, emitted)
+	cur := tpi.RangeCursor(area, 0, 50, &st, nil)
+	for i := 0; i < 3; i++ {
+		if _, ok := cur.Next(); !ok {
+			t.Fatal("scan ended before the abort point")
+		}
+	}
+	st = ScanStats{}
+	cur.Reset(tpi, area, 0, 50, &st, nil)
+	got := make(map[int][]traj.ID)
+	for {
+		cs, ok := cur.Next()
+		if !ok {
+			break
+		}
+		for i, tick := range cs.Ticks {
+			got[tick] = append(got[tick], cs.IDs[i]...)
+		}
+	}
+	for tick, ids := range got {
+		slices.Sort(ids)
+		got[tick] = traj.DedupSorted(ids)
+	}
+	if !reflect.DeepEqual(got, want) || st.CellsScanned != wantSt.CellsScanned || st.CellsSkipped != wantSt.CellsSkipped {
+		t.Fatalf("reset after abort: stats %+v vs %+v, postings equal=%v", st, wantSt, reflect.DeepEqual(got, want))
 	}
 }
 

@@ -2,12 +2,14 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"ppqtraj/internal/cache"
 	"ppqtraj/internal/core"
+	"ppqtraj/internal/exec"
 	"ppqtraj/internal/gen"
 	"ppqtraj/internal/geo"
 	"ppqtraj/internal/index"
@@ -36,7 +38,7 @@ func rangeTestEngine(t testing.TB, withCache bool) (*Engine, *traj.Dataset) {
 }
 
 // perTickIDs answers [from, to] with per-tick STRQRect probes — the
-// reference the range scan must match point for point.
+// reference the range pipeline must match point for point.
 func perTickIDs(t *testing.T, e *Engine, rect geo.Rect, from, to int, exact bool) map[int][]traj.ID {
 	t.Helper()
 	out := make(map[int][]traj.ID)
@@ -52,16 +54,41 @@ func perTickIDs(t *testing.T, e *Engine, rect geo.Rect, from, to int, exact bool
 	return out
 }
 
-func rangeIDs(res *RangeResult) map[int][]traj.ID {
+// rangeCols answers [from, to] over the engine with the window plan's
+// per-segment pipeline (exec.OpenScanPipe drained by exec.Collect, or by
+// exec.ExactVerify in exact mode) — the range form of STRQRect, keyed by
+// tick like perTickIDs.
+func rangeCols(ctx context.Context, e *Engine, rect geo.Rect, from, to int, exact bool) (map[int][]traj.ID, *exec.CollectResult, error) {
+	var st index.ScanStats
+	var rows int64
+	pipe := exec.OpenScanPipe(ctx, e.Idx, e.Sum, exec.Classifier{Rect: rect, Margin: e.Margin()}, from, to, &st, &rows, nil)
+	defer pipe.Close()
+	var (
+		res *exec.CollectResult
+		err error
+	)
+	switch {
+	case !exact:
+		res, err = exec.Collect(pipe.Iterator(), from, to)
+	case e.Raw == nil:
+		res, err = exec.ExactVerify(ctx, pipe.Iterator(), nil, rect, from, to, &e.RawAccesses)
+	default:
+		res, err = exec.ExactVerify(ctx, pipe.Iterator(), e.Raw, rect, from, to, &e.RawAccesses)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	out := make(map[int][]traj.ID)
 	for _, col := range res.Cols {
-		if len(col.IDs) > 0 {
-			out[col.Tick] = col.IDs
-		}
+		out[col.Tick] = col.IDs
 	}
-	return out
+	return out, res, nil
 }
 
+// TestSTRQRangeMatchesPerTick checks a multi-tick STRQ answered by one
+// range pipeline over a quantized engine against per-tick STRQRect
+// point for point, with and without the decoded-cell cache, in both
+// modes; exact answers are also ground truth.
 func TestSTRQRangeMatchesPerTick(t *testing.T) {
 	for _, withCache := range []bool{false, true} {
 		e, d := rangeTestEngine(t, withCache)
@@ -78,26 +105,20 @@ func TestSTRQRangeMatchesPerTick(t *testing.T) {
 			from := ticks[rng.Intn(len(ticks))] - 3 + rng.Intn(6)
 			to := from + rng.Intn(40)
 			for _, exact := range []bool{false, true} {
-				res, err := e.STRQRange(context.Background(), rect, from, to, exact)
+				got, _, err := rangeCols(context.Background(), e, rect, from, to, exact)
 				if err != nil {
-					t.Fatalf("STRQRange(%v, %d..%d, exact=%v): %v", rect, from, to, exact, err)
+					t.Fatalf("range(%v, %d..%d, exact=%v): %v", rect, from, to, exact, err)
 				}
-				want := perTickIDs(t, e, rect, from, to, exact)
-				if got := rangeIDs(res); !reflect.DeepEqual(got, want) {
+				if want := perTickIDs(t, e, rect, from, to, exact); !reflect.DeepEqual(got, want) {
 					t.Fatalf("cache=%v exact=%v rect %v span %d..%d:\nrange   %v\npertick %v",
 						withCache, exact, rect, from, to, got, want)
 				}
-				if exact {
-					// Exact answers are also ground truth.
-					for tick := from; tick <= to; tick++ {
-						truth := GroundTruth(d, rect, tick)
-						got := rangeIDs(res)[tick]
-						if len(truth) == 0 && len(got) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got, truth) {
-							t.Fatalf("tick %d: exact range %v vs ground truth %v", tick, got, truth)
-						}
+				if !exact {
+					continue
+				}
+				for tick := from; tick <= to; tick++ {
+					if truth := GroundTruth(d, rect, tick); (len(truth) > 0 || len(got[tick]) > 0) && !reflect.DeepEqual(got[tick], truth) {
+						t.Fatalf("tick %d: exact range %v vs ground truth %v", tick, got[tick], truth)
 					}
 				}
 			}
@@ -105,27 +126,22 @@ func TestSTRQRangeMatchesPerTick(t *testing.T) {
 	}
 }
 
+// TestSTRQRangeCoveredTicksAndEmptySpans checks the span edges: a span
+// past the data covers nothing and finds nothing, CoveredTicks agrees
+// with the per-tick Covered flags, and an inverted span is a no-op.
 func TestSTRQRangeCoveredTicksAndEmptySpans(t *testing.T) {
 	e, _ := rangeTestEngine(t, false)
+	ctx := context.Background()
+	rect := geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}
 	ticks := e.Sum.SortedTicks()
 	last := ticks[len(ticks)-1]
-	// A span entirely past the data: nothing covered, nothing found.
-	res, err := e.STRQRange(context.Background(), geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, last+10, last+20, false)
-	if err != nil {
-		t.Fatal(err)
+	if got, _, err := rangeCols(ctx, e, rect, last+10, last+20, false); err != nil || len(got) != 0 || e.Idx.CoveredTicks(last+10, last+20) != 0 {
+		t.Fatalf("past-the-end span: %v %v covered %d", got, err, e.Idx.CoveredTicks(last+10, last+20))
 	}
-	if res.CoveredTicks != 0 || len(res.Cols) != 0 {
-		t.Fatalf("past-the-end span: covered %d cols %d", res.CoveredTicks, len(res.Cols))
-	}
-	// Covered ticks agree with per-tick Covered flags.
 	from, to := ticks[0]-5, last+5
-	res, err = e.STRQRange(context.Background(), geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, from, to, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	covered := 0
 	for tick := from; tick <= to; tick++ {
-		r, err := e.STRQRect(context.Background(), geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, tick, false, nil)
+		r, err := e.STRQRect(ctx, rect, tick, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,86 +149,41 @@ func TestSTRQRangeCoveredTicksAndEmptySpans(t *testing.T) {
 			covered++
 		}
 	}
-	if res.CoveredTicks != covered {
-		t.Fatalf("CoveredTicks %d, per-tick Covered count %d", res.CoveredTicks, covered)
+	if got := e.Idx.CoveredTicks(from, to); got != covered {
+		t.Fatalf("CoveredTicks %d, per-tick Covered count %d", got, covered)
 	}
-	// An inverted span is a no-op.
-	res, err = e.STRQRange(context.Background(), geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, 10, 5, false)
-	if err != nil || len(res.Cols) != 0 {
-		t.Fatalf("inverted span: %v %v", res, err)
+	if got, _, err := rangeCols(ctx, e, rect, 10, 5, false); err != nil || len(got) != 0 {
+		t.Fatalf("inverted span: %v %v", got, err)
 	}
 }
 
+// TestSTRQRangeNoRaw checks exact range verification without raw storage
+// fails with ErrNoRaw, and that with raw attached a span with no covered
+// ticks never touches it.
 func TestSTRQRangeNoRaw(t *testing.T) {
 	e, _ := rangeTestEngine(t, false)
-	e.Raw = nil
+	ctx := context.Background()
+	rect := geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}
 	ticks := e.Sum.SortedTicks()
-	if _, err := e.STRQRange(context.Background(), geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, ticks[0], ticks[0]+5, true); err != ErrNoRaw {
-		t.Fatalf("exact without raw: err = %v, want ErrNoRaw", err)
-	}
-	// A span with no covered ticks never needs raw access.
 	last := ticks[len(ticks)-1]
-	if _, err := e.STRQRange(context.Background(), geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, last+5, last+9, true); err != nil {
-		t.Fatalf("uncovered exact span without raw: %v", err)
+	before := e.RawAccesses.Load()
+	if _, res, err := rangeCols(ctx, e, rect, last+5, last+9, true); err != nil || res.Visited != 0 || e.RawAccesses.Load() != before {
+		t.Fatalf("uncovered exact span: %+v %v, raw accesses %d -> %d", res, err, before, e.RawAccesses.Load())
+	}
+	e.Raw = nil
+	if _, _, err := rangeCols(ctx, e, rect, ticks[0], ticks[0]+5, true); !errors.Is(err, exec.ErrNoRaw) {
+		t.Fatalf("exact without raw: err = %v, want ErrNoRaw", err)
 	}
 }
 
+// TestSTRQRangeCancellation checks a cancelled context aborts the range
+// pipeline with the context error.
 func TestSTRQRangeCancellation(t *testing.T) {
 	e, _ := rangeTestEngine(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ticks := e.Sum.SortedTicks()
-	if _, err := e.STRQRange(ctx, geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, ticks[0], ticks[0]+30, false); err != context.Canceled {
+	if _, _, err := rangeCols(ctx, e, geo.Rect{MinX: -9, MinY: 41, MaxX: -8, MaxY: 42}, ticks[0], ticks[0]+30, false); err != context.Canceled {
 		t.Fatalf("cancelled range scan: err = %v, want context.Canceled", err)
 	}
-}
-
-// BenchmarkSearchRectAllocs tracks the per-probe allocation count of the
-// shared STRQ pipeline — the scratch pool keeps the steady state at the
-// result copy plus the result struct instead of fresh candidate/kept
-// slices per call.
-func BenchmarkSearchRectAllocs(b *testing.B) {
-	e, d := rangeTestEngine(b, false)
-	tr := d.Get(0)
-	p := tr.Points[0]
-	tick := tr.Start
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.STRQ(ctx, p, tick, false, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSTRQRangeVsPerTick compares one 64-tick span answered by the
-// range scan against the same span probed per tick.
-func BenchmarkSTRQRangeVsPerTick(b *testing.B) {
-	e, d := rangeTestEngine(b, true)
-	tr := d.Get(0)
-	p := tr.Points[len(tr.Points)/2]
-	gc := geo.MetersToDegrees(100)
-	rect := geo.Rect{MinX: p.X - gc, MinY: p.Y - gc, MaxX: p.X + gc, MaxY: p.Y + gc}
-	from := tr.Start
-	to := from + 63
-	ctx := context.Background()
-	b.Run("range", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.STRQRange(ctx, rect, from, to, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pertick", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for tick := from; tick <= to; tick++ {
-				if _, err := e.STRQRect(ctx, rect, tick, false, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }

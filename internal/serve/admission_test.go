@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -331,12 +332,15 @@ func TestFaultInjectedBurstDegradesCleanly(t *testing.T) {
 	}
 	for key := range acked {
 		c, tick := key[0], key[1]
-		ids, covered := repo2.hot.strqRect(geo.NewRect(-1, -1, 1, 1), tick)
-		if !covered {
+		ans, err := repo2.strqTick(context.Background(), geo.NewRect(-1, -1, 1, 1), tick, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ans.Covered {
 			t.Fatalf("acked tick %d (client %d) missing entirely after recovery", tick, c)
 		}
 		found := false
-		for _, id := range ids {
+		for _, id := range ans.IDs {
 			if id == uint32(10000*(c+1)) {
 				found = true
 				break

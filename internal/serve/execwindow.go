@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"ppqtraj/internal/exec"
 	"ppqtraj/internal/geo"
@@ -11,31 +10,6 @@ import (
 	"ppqtraj/internal/query"
 	"ppqtraj/internal/traj"
 )
-
-// SetExecutor switches the live window executor between the composed
-// iterator plans and the fused STRQRange pipeline. Safe under
-// concurrent queries: both executors return point-for-point identical
-// answers, so an in-flight request finishing on the old executor is
-// indistinguishable from one finishing on the new.
-func (r *Repository) SetExecutor(name string) error {
-	switch name {
-	case ExecutorFused:
-		r.execIter.Store(false)
-	case ExecutorIter:
-		r.execIter.Store(true)
-	default:
-		return fmt.Errorf("serve: unknown executor %q (want %q or %q)", name, ExecutorFused, ExecutorIter)
-	}
-	return nil
-}
-
-// Executor reports the window executor currently serving requests.
-func (r *Repository) Executor() string {
-	if r.execIter.Load() {
-		return ExecutorIter
-	}
-	return ExecutorFused
-}
 
 // planWindow builds the window query's execution plan against one
 // routing-view snapshot: the span is split at segment boundaries
@@ -67,44 +41,21 @@ func planWindow(segs []*Segment, rect geo.Rect, from, to int) (ordered, pruned [
 	return exec.Plan(scans)
 }
 
-// shardResult is the executor-independent outcome of one per-segment
-// scan, so planning, retry, telemetry, and merge are shared between the
-// fused and iterator executors. ids is the flat per-tick candidate
-// stream — the window merge sorts and deduplicates the concatenation
-// once, so shards skip per-tick bucketing entirely.
+// shardResult is the outcome of one planned per-segment scan. ids is the
+// flat per-tick candidate stream — the window merge sorts and
+// deduplicates the concatenation once, so shards skip per-tick bucketing
+// entirely.
 type shardResult struct {
 	ids     []traj.ID
 	covered int
 	scan    index.ScanStats
-	// scanRows counts rows the index source emitted (iterator executor
-	// only — the fused pipeline has no operator boundary to count at).
+	// scanRows counts rows the index source emitted.
 	scanRows int64
-	// candidates counts post-margin-filter rows; visited counts distinct
-	// raw trajectories fetched in exact mode.
+	// candidates counts post-margin-filter rows.
 	candidates int
-	visited    int
 }
 
-// runFusedShard answers one planned scan with the hand-fused STRQRange
-// pipeline — the benchmark floor, kept compiled in.
-func runFusedShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, exact bool) (shardResult, error) {
-	rr, err := s.Eng.STRQRange(ctx, rect, lo, hi, exact)
-	if err != nil {
-		return shardResult{}, err
-	}
-	out := shardResult{covered: rr.CoveredTicks, scan: rr.Scan, candidates: rr.Candidates, visited: rr.Visited}
-	n := 0
-	for _, c := range rr.Cols {
-		n += len(c.IDs)
-	}
-	out.ids = make([]traj.ID, 0, n)
-	for _, c := range rr.Cols {
-		out.ids = append(out.ids, c.IDs...)
-	}
-	return out, nil
-}
-
-// runIterShard answers one planned scan with a composed iterator plan
+// scanShard answers one planned scan with a composed iterator plan
 // (exec.ScanPipe, a pooled SegmentScan → CountRows → Verify chain)
 // finished by a sink: the segment scan classifies each cell against the
 // margin before decode (full-reject pruned, full-accept skips
@@ -113,7 +64,7 @@ func runFusedShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, e
 // batch-verifies them against raw storage (exact). Instrument
 // boundaries report per-operator time and row counts into the request
 // trace when one is attached.
-func runIterShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, exact bool, tr *obs.Trace) (shardResult, error) {
+func scanShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, exact bool, tr *obs.Trace) (shardResult, error) {
 	var out shardResult
 	cls := exec.Classifier{Rect: rect, Margin: s.Eng.Margin()}
 	pipe := exec.OpenScanPipe(ctx, s.Eng.Idx, s.Eng.Sum, cls, lo, hi, &out.scan, &out.scanRows, tr)
@@ -136,15 +87,14 @@ func runIterShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, ex
 			out.ids = append(out.ids, c.IDs...)
 		}
 		out.candidates = res.Candidates
-		out.visited = res.Visited
 	} else {
 		ids, err := exec.AppendIDs(it, lo, hi, nil)
 		if err != nil {
 			return out, err
 		}
 		// One cell per trajectory per tick means the flat stream is
-		// already duplicate-free per tick, so its length IS the fused
-		// path's per-tick candidate count.
+		// already duplicate-free per tick, so its length is the per-tick
+		// candidate count.
 		out.ids = ids
 		out.candidates = len(ids)
 	}
@@ -152,11 +102,11 @@ func runIterShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, ex
 	return out, nil
 }
 
-// runIterHot streams the snapshotted hot-tail columns through the
+// scanHot streams the snapshotted hot-tail columns through the
 // iterator layer (HotScan → Instrument(op_hot) → AppendIDs), so the hot
 // residual shows up in per-operator traces and row metrics like every
 // other operator.
-func runIterHot(ctx context.Context, cols []hotScanCol, from, to int, tr *obs.Trace) ([]traj.ID, error) {
+func scanHot(ctx context.Context, cols []hotScanCol, from, to int, tr *obs.Trace) ([]traj.ID, error) {
 	if len(cols) == 0 {
 		return nil, nil
 	}

@@ -28,9 +28,18 @@ func (c *hotCol) find(id traj.ID) (int, bool) {
 
 // hotTail is the repository's mutable tier: freshly ingested points kept
 // raw (exact, no quantization) and directly queryable, until the
-// compactor drains them into a sealed segment. All methods are
-// self-synchronized; queries take the read lock, ingest and trim the
-// write lock.
+// compactor drains them into a sealed segment. Ingest, freeze, and trim
+// take the write lock; the *Locked query methods run under a read lock
+// the caller holds (Repository.pin), everything else locks itself.
+//
+// Lock order: mu before Repository.mu, never the reverse. A read that
+// reaches above the sealed watermark holds mu.RLock while it takes the
+// routing view (Repository.view, under Repository.mu.RLock), so the
+// watermark it routes by and the columns it scans belong to one instant.
+// The order is deadlock-free because no path holds Repository.mu while
+// acquiring mu: the compactor publishes a segment and its watermark
+// under Repository.mu, releases it, and only then trims here, and
+// ingest, freeze, and snapshot take mu alone.
 type hotTail struct {
 	mu       sync.RWMutex
 	cols     map[int]*hotCol
@@ -228,13 +237,11 @@ func (h *hotTail) trim(bound int) {
 	}
 }
 
-// strqRect answers the exact rectangle query over raw hot points: IDs
-// whose ingested position at tick lies inside rect. Hot data is
+// strqRectLocked answers the exact rectangle query over raw hot points:
+// IDs whose ingested position at tick lies inside rect. Hot data is
 // unquantized, so approximate and exact mode coincide and both have
-// precision and recall 1.
-func (h *hotTail) strqRect(rect geo.Rect, tick int) (ids []traj.ID, covered bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+// precision and recall 1. The caller holds h.mu.RLock.
+func (h *hotTail) strqRectLocked(rect geo.Rect, tick int) (ids []traj.ID, covered bool) {
 	col := h.cols[tick]
 	if col == nil {
 		return nil, false
@@ -253,16 +260,15 @@ type hotScanCol struct {
 	ids  []traj.ID
 }
 
-// scanRange answers the exact rectangle query for every resident tick of
-// [from, to] under a single read lock — the hot half of the repository's
-// window executor. It returns the non-empty per-tick matches (IDs
-// ascending, fresh slices), the number of resident ticks probed (the
-// Covered count a per-tick loop would have seen), and whether the span
-// overlapped the tail's resident tick range at all (the planner's
-// "sources" accounting, which counts overlap, not residency).
-func (h *hotTail) scanRange(rect geo.Rect, from, to int) (cols []hotScanCol, covered int, overlaps bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+// scanRangeLocked answers the exact rectangle query for every resident
+// tick of [from, to] — the hot half of the repository's window query.
+// It returns the non-empty per-tick matches (IDs ascending, fresh
+// slices, so they outlive the lock), the number of resident ticks probed
+// (the Covered count a per-tick loop would have seen), and whether the
+// span overlapped the tail's resident tick range at all (the planner's
+// "sources" accounting, which counts overlap, not residency). The caller
+// holds h.mu.RLock.
+func (h *hotTail) scanRangeLocked(rect geo.Rect, from, to int) (cols []hotScanCol, covered int, overlaps bool) {
 	lo, hi, ok := h.tickSpanLocked()
 	if !ok {
 		return nil, 0, false
@@ -288,27 +294,11 @@ func (h *hotTail) scanRange(rect geo.Rect, from, to int) (cols []hotScanCol, cov
 	return cols, covered, overlaps
 }
 
-// pointAt returns the raw position of id at tick, if resident.
-func (h *hotTail) pointAt(id traj.ID, tick int) (geo.Point, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	col := h.cols[tick]
-	if col == nil {
-		return geo.Point{}, false
-	}
-	i, ok := col.find(id)
-	if !ok {
-		return geo.Point{}, false
-	}
-	return col.pts[i], true
-}
-
-// path collects id's raw positions over ticks [from, from+l), in tick
-// order, stopping at the first tick where the trajectory is absent after
-// having been present (positions are contiguous by the ingest contract).
-func (h *hotTail) path(id traj.ID, from, l int) (pts []geo.Point, start int) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+// pathLocked collects id's raw positions over ticks [from, from+l), in
+// tick order, stopping at the first tick where the trajectory is absent
+// after having been present (positions are contiguous by the ingest
+// contract). The caller holds h.mu.RLock.
+func (h *hotTail) pathLocked(id traj.ID, from, l int) (pts []geo.Point, start int) {
 	start = from
 	for t := from; t < from+l; t++ {
 		col := h.cols[t]

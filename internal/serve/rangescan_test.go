@@ -3,10 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,81 +34,113 @@ func windowRects(cols []*traj.Column, n int, seed int64) []geo.Rect {
 	return rects
 }
 
-// TestWindowEquivalenceSuite is the range-scan acceptance suite: Window
-// (segment-native range executor) must match WindowPerTick (the legacy
-// per-tick reference) and, in exact mode, brute-force ground truth — on
-// spans straddling segment boundaries, the sealed/hot frontier, empty
-// ticks, and spans entirely off the data. Run with -race.
+// perTickWindow is Window's slow reference: one STRQRect probe per tick
+// through strqTick's routing, unioned, plus the ticks-probed and sources
+// accounting Window must reproduce. Sources assumes a quiescent
+// repository; the IDs and ticks of a span at or below the sealed
+// watermark are stable even under racing ingest and compaction.
+func perTickWindow(repo *Repository, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
+	segs, sealed := repo.view()
+	res := &WindowResult{From: from, To: to}
+	for _, s := range segs {
+		if s.StartTick <= to && s.EndTick >= from {
+			res.Sources++
+		}
+	}
+	if lo, hi, ok := repo.hot.tickSpan(); ok && max(from, sealed+1, lo) <= min(to, hi) {
+		res.Sources++
+	}
+	var ids []traj.ID
+	for tick := from; tick <= to; tick++ {
+		ans, err := repo.strqTick(context.Background(), rect, tick, exact)
+		if err != nil {
+			return nil, err
+		}
+		if ans.Covered {
+			res.Ticks++
+		}
+		ids = append(ids, ans.IDs...)
+	}
+	slices.Sort(ids)
+	if len(ids) > 0 { // nil, like Window's empty answer
+		res.IDs = traj.DedupSorted(ids)
+	}
+	return res, nil
+}
+
+// containsAll reports whether sorted ids holds every ID of sorted want.
+func containsAll(ids, want []traj.ID) bool {
+	i := 0
+	for _, id := range want {
+		for i < len(ids) && ids[i] < id {
+			i++
+		}
+		if i == len(ids) || ids[i] != id {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWindowEquivalenceSuite is the window acceptance suite: on spans
+// straddling segment boundaries, the sealed/hot frontier, the epoch,
+// empty future ticks, and rects entirely off the data, Window must match
+// the per-tick STRQRect reference point for point — IDs, ticks probed,
+// and sources — in both modes, and brute-force ground truth in exact
+// mode. The far-away rect must be zone-pruned on every overlapping
+// segment. Run with -race.
 func TestWindowEquivalenceSuite(t *testing.T) {
-	d, cols := testData(t)
-	opts := testOptions(d)
-	opts.CompactInterval = time.Hour // compaction only via explicit Flush
-	repo, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-
-	// Ingest everything, then flush all but the freshest ticks so the
-	// repository holds several sealed segments plus a live hot tail.
-	lastTick := cols[len(cols)-1].Tick
-	for _, col := range cols {
-		if err := repo.IngestColumn(col); err != nil {
-			t.Fatal(err)
-		}
-		if col.Tick == lastTick-10 {
-			if err := repo.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if repo.Stats().Segments < 2 {
-		t.Fatalf("want ≥ 2 sealed segments, got %d", repo.Stats().Segments)
-	}
-	if repo.Stats().HotPoints == 0 {
-		t.Fatal("want a non-empty hot tail")
-	}
-
+	repo, w := openWindowRepo(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
+	lastTick := w.lastTick
 	spans := [][2]int{
 		{0, lastTick},                 // whole history: every segment + hot
 		{lastTick - 12, lastTick + 5}, // straddles sealed/hot and runs past the data
 		{-10, 3},                      // straddles the epoch
 		{lastTick + 3, lastTick + 30}, // hot-only plus empty future ticks
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 12; i++ {
 		lo := rng.Intn(lastTick + 1)
 		spans = append(spans, [2]int{lo, lo + rng.Intn(lastTick-lo+4)})
 	}
-	for _, rect := range windowRects(cols, 6, 21) {
+	rects := windowRects(w.cols, 6, 21)
+	far := rects[len(rects)-1]
+	for _, rect := range rects {
 		for _, sp := range spans {
 			for _, exact := range []bool{false, true} {
 				got, err := repo.Window(ctx, rect, sp[0], sp[1], exact)
 				if err != nil {
 					t.Fatalf("Window(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
 				}
-				want, err := repo.WindowPerTick(ctx, rect, sp[0], sp[1], exact)
+				want, err := perTickWindow(repo, rect, sp[0], sp[1], exact)
 				if err != nil {
-					t.Fatalf("WindowPerTick(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
+					t.Fatalf("perTickWindow(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
 				}
 				if !sameIDs(got.IDs, want.IDs) {
-					t.Fatalf("rect %v span %d..%d exact=%v:\nrange   %v\npertick %v",
+					t.Fatalf("rect %v span %d..%d exact=%v:\nwindow  %v\npertick %v",
 						rect, sp[0], sp[1], exact, got.IDs, want.IDs)
 				}
-				if got.Ticks != want.Ticks {
-					t.Fatalf("rect %v span %d..%d exact=%v: ticks probed %d vs %d",
-						rect, sp[0], sp[1], exact, got.Ticks, want.Ticks)
-				}
-				if got.Sources != want.Sources {
-					t.Fatalf("rect %v span %d..%d exact=%v: sources %d vs %d",
-						rect, sp[0], sp[1], exact, got.Sources, want.Sources)
+				if got.Ticks != want.Ticks || got.Sources != want.Sources {
+					t.Fatalf("rect %v span %d..%d exact=%v: ticks probed %d vs %d, sources %d vs %d",
+						rect, sp[0], sp[1], exact, got.Ticks, want.Ticks, got.Sources, want.Sources)
 				}
 				if exact {
-					truth := bruteWindow(cols, rect, sp[0], sp[1])
-					if !sameIDs(got.IDs, truth) {
+					if truth := bruteWindow(w.cols, rect, sp[0], sp[1]); !sameIDs(got.IDs, truth) {
 						t.Fatalf("rect %v span %d..%d: exact window %v vs ground truth %v",
 							rect, sp[0], sp[1], got.IDs, truth)
+					}
+				}
+				if rect == far {
+					segs := 0
+					for _, s := range repo.Segments() {
+						if s.StartTick <= sp[1] && s.EndTick >= sp[0] {
+							segs++
+						}
+					}
+					if got.SegmentsSkipped != segs {
+						t.Fatalf("far rect span %d..%d: %d of %d overlapping segments skipped",
+							sp[0], sp[1], got.SegmentsSkipped, segs)
 					}
 				}
 			}
@@ -123,13 +156,14 @@ func TestWindowEquivalenceSuite(t *testing.T) {
 	}
 }
 
-// TestWindowRacingCompaction runs exact windows concurrently with live
-// ingestion and compaction: every answer over the fully ingested prefix
-// must equal brute-force ground truth no matter where the sealed
-// watermark lands mid-request. This is the regression test for the
-// per-request routing snapshot — the legacy per-tick path re-locked the
-// view per tick and could serve a window from a mix of pre- and
-// post-compaction views. Run with -race.
+// TestWindowRacingCompaction runs windows concurrently with live
+// ingestion and compaction, so the sealed watermark moves under
+// requests: every exact answer over the fully ingested prefix must equal
+// brute-force ground truth, every approximate one must contain it
+// (recall 1), and an approximate answer over ticks already sealed when
+// the request started must equal the per-tick STRQRect reference point
+// for point. This is the regression test for the per-request pinned read
+// view. Run with -race.
 func TestWindowRacingCompaction(t *testing.T) {
 	d, cols := testData(t)
 	opts := testOptions(d)
@@ -160,13 +194,30 @@ func TestWindowRacingCompaction(t *testing.T) {
 				to := cols[rng.Intn(int(hi))].Tick
 				from := to - rng.Intn(20)
 				rect := rects[rng.Intn(len(rects))]
-				res, err := repo.Window(context.Background(), rect, from, to, true)
+				exact := rng.Intn(2) == 0
+				_, sealed := repo.view()
+				res, err := repo.Window(context.Background(), rect, from, to, exact)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				if want := bruteWindow(cols, rect, from, to); !sameIDs(res.IDs, want) {
+				want := bruteWindow(cols, rect, from, to)
+				if exact && !sameIDs(res.IDs, want) || !exact && !containsAll(res.IDs, want) {
 					errCh <- errMismatch(rect, from, to, res.IDs, want)
+					return
+				}
+				if exact || to > sealed {
+					continue
+				}
+				// Sealed ticks live in immutable segments, so the per-tick
+				// reference sees exactly what the window saw.
+				ref, err := perTickWindow(repo, rect, from, to, false)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if !sameIDs(res.IDs, ref.IDs) || res.Ticks != ref.Ticks {
+					errCh <- errMismatch(rect, from, to, res.IDs, ref.IDs)
 					return
 				}
 			}
@@ -204,9 +255,7 @@ func errMismatch(rect geo.Rect, from, to int, got, want []traj.ID) error {
 }
 
 func (m *windowMismatch) Error() string {
-	return strings.Join([]string{
-		"window mismatch", m.rect.String(),
-	}, " ") + ": got/want differ"
+	return fmt.Sprintf("window mismatch %v span %d..%d:\ngot  %v\nwant %v", m.rect, m.from, m.to, m.got, m.want)
 }
 
 // TestZoneMapPersistenceAndRebuild checks the sidecar lifecycle: zone

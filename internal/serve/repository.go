@@ -121,13 +121,6 @@ type Options struct {
 	// wall time meets or exceeds it emits one structured JSON log line
 	// with its full per-stage breakdown. 0 disables the slow-query log.
 	SlowQuery time.Duration
-	// Executor selects the window executor: ExecutorIter (the default)
-	// runs composed internal/exec iterator plans; ExecutorFused runs the
-	// hand-fused STRQRange pipeline, kept compiled in as the benchmark
-	// floor and transition escape hatch. Both produce point-for-point
-	// identical answers (the equivalence suite enforces it); SetExecutor
-	// switches a live repository.
-	Executor string
 	// ReplicateFrom, when non-empty, runs this repository as a follower
 	// replica of the primary at the given base URL (e.g.
 	// "http://10.0.0.1:8080"): a background applier streams the primary's
@@ -155,12 +148,6 @@ type Options struct {
 	// alone protect followers).
 	WALRetainSegments int
 }
-
-// Window executor names accepted by Options.Executor and SetExecutor.
-const (
-	ExecutorFused = "fused"
-	ExecutorIter  = "iter"
-)
 
 // DefaultCacheBytes is the decoded-cell cache budget used when
 // Options.CacheBytes is 0.
@@ -212,13 +199,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Log == nil {
 		o.Log = obs.NewLogger(os.Stderr, obs.LevelInfo, obs.FormatText)
 	}
-	switch o.Executor {
-	case "":
-		o.Executor = ExecutorIter
-	case ExecutorFused, ExecutorIter:
-	default:
-		return o, fmt.Errorf("serve: unknown executor %q (want %q or %q)", o.Executor, ExecutorFused, ExecutorIter)
-	}
 	return o, nil
 }
 
@@ -253,9 +233,11 @@ const (
 type Repository struct {
 	opts Options
 
-	mu            sync.RWMutex // guards segs + sealedThrough (the routing view)
-	segs          []*Segment   // ascending, disjoint tick ranges
-	sealedThrough int          // ticks ≤ this are served by segments
+	// mu guards segs + sealedThrough (the routing view). When a read
+	// holds both locks, hot.mu comes first (see hotTail).
+	mu            sync.RWMutex
+	segs          []*Segment // ascending, disjoint tick ranges
+	sealedThrough int        // ticks ≤ this are served by segments
 
 	hot *hotTail
 
@@ -295,12 +277,6 @@ type Repository struct {
 	// draining flips when shutdown starts: /readyz reports 503 so load
 	// balancers stop routing while in-flight requests finish.
 	draining atomic.Bool
-
-	// execIter selects the live window executor (true = iterator plans,
-	// false = fused STRQRange). Atomic so SetExecutor can flip it under
-	// concurrent queries — both executors answer identically, so a
-	// mid-stream flip is safe.
-	execIter atomic.Bool
 
 	// Replication. shipper serves /v1/repl/stream on any persistent
 	// repository; the rest is live only in follower mode
@@ -347,7 +323,6 @@ func Open(opts Options) (*Repository, error) {
 		met:           newRepoMetrics(opts.Metrics),
 		log:           opts.Log,
 	}
-	r.execIter.Store(opts.Executor == ExecutorIter)
 	obs.RegisterRuntime(r.met.reg)
 	if opts.CacheBytes > 0 {
 		r.cells = cache.New(opts.CacheBytes)
@@ -933,6 +908,49 @@ func (r *Repository) view() (segs []*Segment, sealedThrough int) {
 	return r.segs, r.sealedThrough
 }
 
+// readView is one request's pinned view of both tiers: the sealed
+// segments, the watermark routing ticks between them and the hot tail,
+// and the applied-tick watermark the answer is as of.
+type readView struct {
+	segs   []*Segment
+	sealed int
+	asOf   int64
+}
+
+// pin takes a read view once per request, for a request whose newest
+// tick is hi. Ticks at or below the sealed watermark of a lock-free view
+// need no pin: segments are immutable and the watermark only advances.
+// When hi lies above it, pin holds the hot tail's read lock, re-reads
+// the view inside it, and runs hot under that same lock (only when hi is
+// still above the re-read watermark, which hot receives). The compactor
+// publishes a segment and its watermark before it trims the hot columns
+// the segment now serves, and trimming needs the hot tail's write lock,
+// so while the read lock is held every tick above the pinned watermark
+// is still resident in the tail and every tick at or below it is in the
+// pinned segments. hot answers the ticks above the watermark; the caller
+// scans segments lock-free once pin returns.
+//
+// asOf is read before the view: every tick at or below it had finished
+// ingesting by then, so it is resident in whichever tier the view routes
+// it to. Under the pin it is also read inside the hot lock, which makes
+// it a true lower bound on what the answer saw, never a tick applied
+// after the hot columns were read.
+func (r *Repository) pin(hi int, hot func(sealed int)) readView {
+	v := readView{asOf: r.appliedTick.Load()}
+	v.segs, v.sealed = r.view()
+	if hi <= v.sealed {
+		return v
+	}
+	r.hot.mu.RLock()
+	defer r.hot.mu.RUnlock()
+	v.asOf = r.appliedTick.Load()
+	v.segs, v.sealed = r.view()
+	if hi > v.sealed {
+		hot(v.sealed)
+	}
+	return v
+}
+
 // findSegment returns the segment covering tick, or nil. Segments are
 // ascending and disjoint.
 func findSegment(segs []*Segment, tick int) *Segment {
@@ -1011,49 +1029,45 @@ type STRQAnswer struct {
 	Err        string           `json:"error,omitempty"`
 }
 
-// strqTick routes one rectangle probe to the tier owning the tick. The
-// loop closes the publish race: a tick the routing view calls hot may be
-// trimmed by a concurrent compaction before the hot probe runs, in which
-// case the watermark has necessarily advanced and the retry lands on the
-// freshly published segment.
-func (r *Repository) strqTick(ctx context.Context, cell geo.Rect, tick int, exact bool) (ans STRQAnswer, err error) {
-	ans = STRQAnswer{Tick: tick, Cell: cell, Source: "none"}
-	for {
-		if err := ctx.Err(); err != nil {
+// strqTick routes one rectangle probe to the tier owning the tick under
+// the request's pinned read view, so a concurrent compaction can never
+// move the tick out from under the probe.
+func (r *Repository) strqTick(ctx context.Context, cell geo.Rect, tick int, exact bool) (STRQAnswer, error) {
+	ans := STRQAnswer{Tick: tick, Cell: cell, Source: "none"}
+	if err := ctx.Err(); err != nil {
+		return ans, err
+	}
+	var (
+		hotIDs     []traj.ID
+		hotCovered bool
+	)
+	v := r.pin(tick, func(int) { hotIDs, hotCovered = r.hot.strqRectLocked(cell, tick) })
+	if tick > v.sealed {
+		if hotCovered {
+			ans.Covered = true
+			ans.IDs = hotIDs
+			ans.Candidates = len(hotIDs)
+			ans.Source = "hot"
+		}
+		return ans, nil
+	}
+	seg := findSegment(v.segs, tick)
+	if seg == nil {
+		return ans, nil
+	}
+	res, err := seg.Eng.STRQRect(ctx, cell, tick, exact, nil)
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return ans, err
 		}
-		segs, sealed := r.view()
-		if tick <= sealed {
-			seg := findSegment(segs, tick)
-			if seg == nil {
-				return ans, nil
-			}
-			res, err := seg.Eng.STRQRect(ctx, cell, tick, exact, nil)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return ans, err
-				}
-				return ans, fmt.Errorf("serve: segment %d: %w", seg.ID, err)
-			}
-			ans.Covered = res.Covered
-			ans.IDs = res.IDs
-			ans.Candidates = res.Candidates
-			ans.Visited = res.Visited
-			ans.Source = fmt.Sprintf("segment:%d", seg.ID)
-			return ans, nil
-		}
-		ids, covered := r.hot.strqRect(cell, tick)
-		if covered {
-			ans.Covered = true
-			ans.IDs = ids
-			ans.Candidates = len(ids)
-			ans.Source = "hot"
-			return ans, nil
-		}
-		if _, sealed2 := r.view(); sealed2 == sealed {
-			return ans, nil // genuinely no data at this tick
-		}
+		return ans, fmt.Errorf("serve: segment %d: %w", seg.ID, err)
 	}
+	ans.Covered = res.Covered
+	ans.IDs = res.IDs
+	ans.Candidates = res.Candidates
+	ans.Visited = res.Visited
+	ans.Source = fmt.Sprintf("segment:%d", seg.ID)
+	return ans, nil
 }
 
 // STRQ answers "who was in the query cell of p at tick". Ticks at or
@@ -1125,45 +1139,40 @@ func (r *Repository) Batch(ctx context.Context, reqs []STRQRequest) []STRQAnswer
 }
 
 // Path reconstructs trajectory id over ticks [from, from+l), stitching
-// the answer across every sealed segment it spans plus the hot tail.
-// Sealed ranges return the quantized reconstruction (deviation ≤ the
-// summary's bound); hot ranges return raw points. Cancellation is
-// best-effort: a done context stops the stitching walk and returns the
-// (possibly partial) path built so far — callers that must surface the
-// cancellation check ctx.Err() themselves, as STRQ does.
+// the answer across every sealed segment it spans plus the hot tail,
+// under one pinned read view. Sealed ranges return the quantized
+// reconstruction (deviation ≤ the summary's bound); hot ranges return raw
+// points. The stitching walk shares the window planner's span splitter
+// (exec.SplitSpan), so the two layers agree on segment-boundary clipping
+// by construction. Cancellation is best-effort: a done context stops the
+// walk and returns the (possibly partial) path built so far — callers
+// that must surface the cancellation check ctx.Err() themselves, as STRQ
+// does.
 func (r *Repository) Path(ctx context.Context, id traj.ID, from, l int) Path {
-	for {
-		segs, sealed := r.view()
-		out := r.pathFrom(segs, sealed, id, from, l)
-		// A compaction that published mid-walk may have trimmed hot ticks
-		// the walk still expected; the moved watermark flags it.
-		if ctx.Err() != nil {
-			return out
-		}
-		if _, sealed2 := r.view(); sealed2 == sealed || len(out.Points) >= l {
-			return out
-		}
-	}
-}
-
-// pathFrom is one stitching pass over a fixed routing view. The walk
-// shares the window planner's span splitter (exec.SplitSpan), so the
-// two layers agree on segment-boundary clipping by construction.
-func (r *Repository) pathFrom(segs []*Segment, sealed int, id traj.ID, from, l int) Path {
+	end := from + l
+	var hot Path
+	v := r.pin(end-1, func(sealed int) {
+		hotFrom := max(from, sealed+1)
+		hot.Points, hot.Start = r.hot.pathLocked(id, hotFrom, end-hotFrom)
+	})
 	out := Path{Start: from}
 	started := false
-	gap := false
+	stop := false
 	cursor := from
-	end := from + l
-	exec.SplitSpan(from, end-1, len(segs), func(i int) exec.TickRange {
-		return exec.TickRange{Lo: segs[i].StartTick, Hi: segs[i].EndTick}
+	exec.SplitSpan(from, end-1, len(v.segs), func(i int) exec.TickRange {
+		return exec.TickRange{Lo: v.segs[i].StartTick, Hi: v.segs[i].EndTick}
 	}, func(i int, sub exec.TickRange) {
 		// A segment entirely behind the stitch cursor (or any segment
-		// once the path is complete or broken) contributes nothing.
-		if gap || cursor >= end || sub.Hi < cursor {
+		// once the path is complete, broken, or cancelled) contributes
+		// nothing.
+		if stop || cursor >= end || sub.Hi < cursor {
 			return
 		}
-		pts, st := segs[i].reconstructedPath(id, cursor, end-cursor)
+		if ctx.Err() != nil {
+			stop = true
+			return
+		}
+		pts, st := v.segs[i].reconstructedPath(id, cursor, end-cursor)
 		if len(pts) == 0 {
 			return
 		}
@@ -1171,29 +1180,22 @@ func (r *Repository) pathFrom(segs []*Segment, sealed int, id traj.ID, from, l i
 			out.Start = st
 			started = true
 		} else if st != out.Start+len(out.Points) {
-			gap = true // trajectory ended and this is another life of the ID
+			stop = true // trajectory ended and this is another life of the ID
 			return
 		}
 		out.Points = append(out.Points, pts...)
 		cursor = st + len(pts)
 	})
-	if gap {
+	// The hot part continues only a sealed walk that ran up to the
+	// watermark; a path with no sealed part is the hot part alone.
+	if stop || len(hot.Points) == 0 || started && (cursor >= end || cursor <= v.sealed) {
 		return out
 	}
-	if cursor < end && cursor > sealed || !started {
-		hotFrom := cursor
-		if hotFrom <= sealed {
-			hotFrom = sealed + 1
-		}
-		pts, st := r.hot.path(id, hotFrom, end-hotFrom)
-		if len(pts) > 0 {
-			if !started {
-				out.Start = st
-				out.Points = pts
-			} else if st == out.Start+len(out.Points) {
-				out.Points = append(out.Points, pts...)
-			}
-		}
+	if !started {
+		return hot
+	}
+	if hot.Start == out.Start+len(out.Points) {
+		out.Points = append(out.Points, hot.Points...)
 	}
 	return out
 }
@@ -1209,26 +1211,26 @@ type WindowResult struct {
 	// SegmentsSkipped counts overlapping segments the zone-map planner
 	// pruned without scanning.
 	SegmentsSkipped int `json:"segments_skipped,omitempty"`
-	// AsOfTick is the repository's applied-tick watermark when the answer
-	// was computed (-1 while empty). On a follower this is the freshness
-	// the caller actually got: a disconnected replica keeps answering with
-	// an honest, possibly stale, as_of_tick instead of erroring.
+	// AsOfTick is the repository's applied-tick watermark as read under
+	// the answer's pinned view (-1 while empty): every tick at or below it
+	// is fully reflected in the answer, so it never overclaims. On a
+	// follower this is the freshness the caller actually got: a
+	// disconnected replica keeps answering with an honest, possibly stale,
+	// as_of_tick instead of erroring.
 	AsOfTick int64 `json:"as_of_tick"`
 }
 
-// Window answers the window query with the segment-native range executor:
-// the span is split at segment boundaries, segments whose zone map cannot
-// intersect the query's local-search area are skipped outright, one
-// STRQRange per surviving segment walks its postings once for the whole
-// sub-span (fanned out on the bounded worker pool), the hot tail is
-// scanned under a single lock for the residual span above the sealed
-// watermark, and the per-tick columns are merged in tick order. The
-// routing view is snapshotted once per request; if a compaction moves the
-// sealed watermark mid-flight, the request re-plans against the new view,
-// so the answer always reflects one consistent snapshot. Answers are
-// point-for-point identical to the per-tick reference path
-// (WindowPerTick); a cancelled or expired context aborts the scatter and
-// returns the context error.
+// Window answers the window query with one composed plan per request:
+// the read view is pinned once (pin), the hot residual above its sealed
+// watermark is scanned under the hot tail's read lock as part of the
+// pin, the span is split at segment boundaries, segments whose zone map
+// cannot intersect the query's local-search area are skipped outright,
+// one iterator pipeline per surviving segment walks its postings once
+// for the whole sub-span (fanned out on the bounded worker pool), and
+// the flat ID streams are merged. Every tick is read from exactly one
+// tier of one consistent view, and AsOfTick is read under the same pin.
+// A cancelled or expired context aborts the scatter and returns the
+// context error.
 func (r *Repository) Window(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
 	// Counted at entry like STRQ, so query_errors can never exceed
 	// queries in the stats.
@@ -1243,332 +1245,135 @@ func (r *Repository) Window(ctx context.Context, rect geo.Rect, from, to int, ex
 		r.met.queryErrors.Inc()
 		return nil, err
 	}
-	res.AsOfTick = r.appliedTick.Load()
 	return res, nil
 }
 
-// maxWindowReplans bounds how many times windowRange restarts after the
-// sealed watermark moved mid-execution before handing the request to the
-// per-tick executor (whose per-probe routing tolerates a moving
-// watermark): without the cap, a wide window on a server whose
-// compactions outpace the scan could re-run its whole fan-out forever.
-const maxWindowReplans = 3
-
-// windowRange is Window's planner and executor. It retries from scratch
-// when the sealed watermark moves during execution: ticks the plan
-// expected in the hot tail may have been compacted (and trimmed) under
-// it, and the freshly published segment is the only tier still serving
-// them. Retries are rare (one per compaction at most) and capped.
+// windowRange is Window's planner and executor.
 func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
 	tr := obs.TraceFrom(ctx)
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		segs, sealed := r.view()
-
-		// Greedy statistics-free plan: split the span at segment
-		// boundaries, score each sub-span by zone-map selectivity
-		// (populated-cell overlap × tick-span overlap), prune scans the
-		// zone map proves empty, and order the rest largest first so the
-		// parallel fan-out's tail stays short.
-		ordered, pruned := planWindow(segs, rect, from, to)
-		sources := len(ordered) + len(pruned)
-		skipped := len(pruned)
-		skippedTicks := 0
-		for _, p := range pruned {
-			skippedTicks += segs[p.ID].Eng.Idx.CoveredTicks(p.Span.Lo, p.Span.Hi)
-		}
-		useIter := r.execIter.Load()
-		tr.Lap("plan")
-
-		// One scan per surviving segment, on the same bounded pool Batch
-		// uses — a wide window over a long-lived repository can overlap
-		// hundreds of segments. Both executors fill the same shardResult
-		// shape, so retry, telemetry, and merge below are shared.
-		results := make([]shardResult, len(ordered))
-		errs := make([]error, len(ordered))
-		if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(ordered), 1, func(ctx context.Context, _, wlo, whi int) {
-			for i := wlo; i < whi; i++ {
-				sc := ordered[i]
-				if useIter {
-					results[i], errs[i] = runIterShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
-				} else {
-					results[i], errs[i] = runFusedShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact)
-				}
-			}
-		}); err != nil {
-			return nil, err
-		}
-		for i, err := range errs {
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, err
-				}
-				return nil, fmt.Errorf("serve: segment %d: %w", segs[ordered[i].ID].ID, err)
-			}
-		}
-		tr.Lap("segment_scan")
-
-		// Hot residual: only ticks above the snapshot's watermark, under
-		// a single hot-tail lock. Hot points are raw, so approximate and
-		// exact mode coincide.
-		var (
-			hotIDs     []traj.ID
-			hotCovered int
-			hotScanned bool
-		)
-		if to > sealed {
-			cols, covered, hotOverlaps := r.hot.scanRange(rect, max(from, sealed+1), to)
-			hotCovered = covered
-			if hotOverlaps {
-				sources++
-			}
-			if useIter {
-				var err error
-				if hotIDs, err = runIterHot(ctx, cols, max(from, sealed+1), to, tr); err != nil {
-					return nil, err
-				}
-				hotScanned = hotOverlaps
-			} else {
-				for _, c := range cols {
-					hotIDs = append(hotIDs, c.ids...)
-				}
-			}
-		}
-		tr.Lap("hot_scan")
-
-		// A watermark move during execution means some planned-hot ticks
-		// may have migrated to a segment after the hot scan read (or
-		// missed) them — re-plan against the new view. Segments are
-		// immutable and the watermark only advances, so a stable
-		// comparison proves the executed plan covered every tick. Past
-		// the replan cap, the per-tick executor finishes the request: its
-		// per-probe routing re-routes freshly sealed ticks on the fly.
-		if _, sealed2 := r.view(); sealed2 != sealed {
-			if attempt+1 < maxWindowReplans {
-				continue
-			}
-			return r.windowPerTickScan(ctx, rect, from, to, exact)
-		}
-
-		// Telemetry lands only for the attempt that survived the
-		// watermark recheck, so a re-planned request counts once.
-		r.met.winSegsScanned.Add(int64(len(ordered)))
-		r.met.winSegsSkipped.Add(int64(skipped))
-		tr.Add("segments_scanned", int64(len(ordered)))
-		tr.Add("segments_skipped", int64(skipped))
-
-		// Merge: flatten every column and sort-dedup once. Columns are
-		// per-tick ID sets, so the flat list is mostly runs of near-equal
-		// values — a single sort beats per-ID map inserts by a wide
-		// margin at window scale.
-		probed := skippedTicks + hotCovered
-		total := len(hotIDs)
-		var scan index.ScanStats
-		var scanRows, verifyRows int64
-		for i := range results {
-			rr := &results[i]
-			probed += rr.covered
-			scan.Add(rr.scan)
-			scanRows += rr.scanRows
-			verifyRows += int64(rr.candidates)
-			total += len(rr.ids)
-		}
-		r.met.winCellsScanned.Add(int64(scan.CellsScanned))
-		r.met.winCellsSkipped.Add(int64(scan.CellsSkipped))
-		tr.Add("cells_scanned", int64(scan.CellsScanned))
-		tr.Add("cells_skipped", int64(scan.CellsSkipped))
-		tr.Add("cache_hits", int64(scan.CacheHits))
-		tr.Add("cache_misses", int64(scan.CacheMisses))
-		tr.Add("bytes_decoded", scan.DecodedBytes)
-		tr.Add("decode_us", scan.DecodeNanos/1e3)
-		tr.Add("ticks_probed", int64(probed))
-		flat := make([]traj.ID, 0, total)
-		for i := range results {
-			flat = append(flat, results[i].ids...)
-		}
-		flat = append(flat, hotIDs...)
-		slices.Sort(flat)
-		res := &WindowResult{From: from, To: to, Ticks: probed, Sources: sources, SegmentsSkipped: skipped}
-		if len(flat) > 0 { // nil, not empty-but-allocated, keeps the JSON stable
-			res.IDs = traj.DedupSorted(flat)
-		}
-		tr.Lap("merge")
-
-		// Executor telemetry, recorded only for iterator plans (the
-		// fused pipeline has no operator boundaries to count at): one
-		// plan, its operator count, and per-operator emitted-row
-		// aggregates (scan, verify, hot, merge).
-		if useIter {
-			operators := int64(len(ordered)) * 2 // scan + verify per shard
-			if exact {
-				operators += int64(len(ordered)) // exact-verify sink
-			}
-			if hotScanned {
-				operators++
-			}
-			operators++ // the final merge
-			r.met.execPlans.Inc()
-			r.met.execOperators.Add(operators)
-			r.met.execOpsPerPlan.Observe(float64(operators))
-			r.met.execOpRows.Observe(float64(scanRows))
-			r.met.execOpRows.Observe(float64(verifyRows))
-			if hotScanned {
-				r.met.execOpRows.Observe(float64(len(hotIDs)))
-			}
-			r.met.execOpRows.Observe(float64(len(res.IDs)))
-			tr.Add("exec_operators", operators)
-		}
-		return res, nil
-	}
-}
-
-// WindowPerTick is the legacy window executor: one worker per overlapping
-// shard, each probing its sub-span tick by tick through the same routing
-// used by single STRQs. It remains the reference implementation — the
-// equivalence suite asserts Window matches it point for point, and the
-// window benchmark uses it as the baseline. New callers should use
-// Window.
-func (r *Repository) WindowPerTick(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
-	// Counted at entry like STRQ, so query_errors can never exceed
-	// queries in the stats.
-	r.met.queries.Inc()
-	if err := validateWindow(rect, from, to); err != nil {
-		r.met.queryErrors.Inc()
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
-		r.met.queryErrors.Inc()
 		return nil, err
 	}
-	res, err := r.windowPerTickScan(ctx, rect, from, to, exact)
-	if err != nil {
-		r.met.queryErrors.Inc()
-		return nil, err
-	}
-	res.AsOfTick = r.appliedTick.Load()
-	return res, nil
-}
-
-// windowPerTickScan is the per-tick executor body, shared by
-// WindowPerTick and windowRange's replan-cap fallback (the caller owns
-// validation and error accounting).
-func (r *Repository) windowPerTickScan(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
-	// Plan the shards against a stable routing view: if a compaction moves
-	// the watermark while we are reading the two tiers, replan (the ticks
-	// it just sealed would otherwise fall between the snapshots).
+	// Hot residual: only ticks above the pinned watermark, read under the
+	// pin's hot-tail lock. Hot points are raw, so approximate and exact
+	// mode coincide.
 	var (
-		segs         []*Segment
-		sealed       int
-		hotLo, hotHi int
-		hotOK        bool
+		hotCols     []hotScanCol
+		hotCovered  int
+		hotOverlaps bool
 	)
-	for {
-		segs, sealed = r.view()
-		hotLo, hotHi, hotOK = r.hot.tickSpan()
-		if _, sealed2 := r.view(); sealed2 == sealed {
-			break
-		}
+	v := r.pin(to, func(sealed int) {
+		hotCols, hotCovered, hotOverlaps = r.hot.scanRangeLocked(rect, max(from, sealed+1), to)
+	})
+	hotIDs, err := scanHot(ctx, hotCols, max(from, v.sealed+1), to, tr)
+	if err != nil {
+		return nil, err
 	}
-	type shard struct {
-		seg    *Segment // nil = hot tail
-		lo, hi int
+	tr.Lap("hot_scan")
+
+	// Greedy statistics-free plan over the pinned segments: split the
+	// span at segment boundaries, score each sub-span by zone-map
+	// selectivity (populated-cell overlap × tick-span overlap), prune
+	// scans the zone map proves empty, and order the rest largest first
+	// so the parallel fan-out's tail stays short.
+	segs := v.segs
+	ordered, pruned := planWindow(segs, rect, from, to)
+	sources := len(ordered) + len(pruned)
+	if hotOverlaps {
+		sources++
 	}
-	var shards []shard
-	for _, s := range segs {
-		lo, hi := max(from, s.StartTick), min(to, s.EndTick)
-		if lo <= hi {
-			shards = append(shards, shard{seg: s, lo: lo, hi: hi})
-		}
+	skipped := len(pruned)
+	skippedTicks := 0
+	for _, p := range pruned {
+		skippedTicks += segs[p.ID].Eng.Idx.CoveredTicks(p.Span.Lo, p.Span.Hi)
 	}
-	if to > sealed && hotOK {
-		// Clip the hot shard to ticks that can actually hold data — the
-		// caller-supplied bound may be astronomically far in the future,
-		// and probing empty ticks one by one would let a single request
-		// monopolize the server.
-		lo, hi := max(from, max(sealed+1, hotLo)), min(to, hotHi)
-		if lo <= hi {
-			shards = append(shards, shard{seg: nil, lo: lo, hi: hi})
-		}
-	}
-	// One worker per shard, on the same bounded pool Batch uses — a wide
-	// window over a long-lived repository can overlap hundreds of
-	// segments, and unbounded goroutine fan-out would let one request
-	// monopolize the server.
-	results := make([][]traj.ID, len(shards))
-	errs := make([]error, len(shards))
-	ticks := make([]int, len(shards))
-	runShard := func(ctx context.Context, i int) error {
-		sh := shards[i]
-		seen := make(map[traj.ID]struct{})
-		for t := sh.lo; t <= sh.hi; t++ {
-			// The per-tick check is what makes cancellation prompt: a wide
-			// window over a long-lived repository probes thousands of
-			// ticks, and each probe is the natural stopping point.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			var ids []traj.ID
-			if sh.seg != nil {
-				res, err := sh.seg.Eng.STRQRect(ctx, rect, t, exact, nil)
-				if err != nil {
-					return err
-				}
-				if !res.Covered {
-					continue
-				}
-				ids = res.IDs
-			} else {
-				// strqTick re-routes ticks a concurrent compaction
-				// sealed after the shard plan was made.
-				ans, err := r.strqTick(ctx, rect, t, exact)
-				if err != nil {
-					return err
-				}
-				if !ans.Covered {
-					continue
-				}
-				ids = ans.IDs
-			}
-			ticks[i]++
-			for _, id := range ids {
-				seen[id] = struct{}{}
-			}
-		}
-		out := make([]traj.ID, 0, len(seen))
-		for id := range seen {
-			out = append(out, id)
-		}
-		results[i] = out
-		return nil
-	}
-	if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(shards), 1, func(ctx context.Context, _, wlo, whi int) {
+	tr.Lap("plan")
+
+	// One scan per surviving segment, on the same bounded pool Batch
+	// uses — a wide window over a long-lived repository can overlap
+	// hundreds of segments.
+	results := make([]shardResult, len(ordered))
+	errs := make([]error, len(ordered))
+	if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(ordered), 1, func(ctx context.Context, _, wlo, whi int) {
 		for i := wlo; i < whi; i++ {
-			errs[i] = runShard(ctx, i)
+			sc := ordered[i]
+			results[i], errs[i] = scanShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
 		}
 	}); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return nil, err
+			}
+			return nil, fmt.Errorf("serve: segment %d: %w", segs[ordered[i].ID].ID, err)
 		}
 	}
-	merged := make(map[traj.ID]struct{})
-	probed := 0
-	for i := range shards {
-		probed += ticks[i]
-		for _, id := range results[i] {
-			merged[id] = struct{}{}
-		}
+	tr.Lap("segment_scan")
+
+	r.met.winSegsScanned.Add(int64(len(ordered)))
+	r.met.winSegsSkipped.Add(int64(skipped))
+	tr.Add("segments_scanned", int64(len(ordered)))
+	tr.Add("segments_skipped", int64(skipped))
+
+	// Merge: flatten every column and sort-dedup once. Columns are
+	// per-tick ID sets, so the flat list is mostly runs of near-equal
+	// values — a single sort beats per-ID map inserts by a wide margin at
+	// window scale.
+	probed := skippedTicks + hotCovered
+	total := len(hotIDs)
+	var scan index.ScanStats
+	var scanRows, verifyRows int64
+	for i := range results {
+		rr := &results[i]
+		probed += rr.covered
+		scan.Add(rr.scan)
+		scanRows += rr.scanRows
+		verifyRows += int64(rr.candidates)
+		total += len(rr.ids)
 	}
-	res := &WindowResult{From: from, To: to, Ticks: probed, Sources: len(shards)}
-	for id := range merged {
-		res.IDs = append(res.IDs, id)
+	r.met.winCellsScanned.Add(int64(scan.CellsScanned))
+	r.met.winCellsSkipped.Add(int64(scan.CellsSkipped))
+	tr.Add("cells_scanned", int64(scan.CellsScanned))
+	tr.Add("cells_skipped", int64(scan.CellsSkipped))
+	tr.Add("cache_hits", int64(scan.CacheHits))
+	tr.Add("cache_misses", int64(scan.CacheMisses))
+	tr.Add("bytes_decoded", scan.DecodedBytes)
+	tr.Add("decode_us", scan.DecodeNanos/1e3)
+	tr.Add("ticks_probed", int64(probed))
+	flat := make([]traj.ID, 0, total)
+	for i := range results {
+		flat = append(flat, results[i].ids...)
 	}
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
-	obs.TraceFrom(ctx).Lap("per_tick_scan")
+	flat = append(flat, hotIDs...)
+	slices.Sort(flat)
+	res := &WindowResult{From: from, To: to, Ticks: probed, Sources: sources, SegmentsSkipped: skipped, AsOfTick: v.asOf}
+	if len(flat) > 0 { // nil, not empty-but-allocated, keeps the JSON stable
+		res.IDs = traj.DedupSorted(flat)
+	}
+	tr.Lap("merge")
+
+	// Executor telemetry: one plan, its operator count, and per-operator
+	// emitted-row aggregates (scan, verify, hot, merge).
+	operators := int64(len(ordered)) * 2 // scan + verify per shard
+	if exact {
+		operators += int64(len(ordered)) // exact-verify sink
+	}
+	if hotOverlaps {
+		operators++
+	}
+	operators++ // the final merge
+	r.met.execPlans.Inc()
+	r.met.execOperators.Add(operators)
+	r.met.execOpsPerPlan.Observe(float64(operators))
+	r.met.execOpRows.Observe(float64(scanRows))
+	r.met.execOpRows.Observe(float64(verifyRows))
+	if hotOverlaps {
+		r.met.execOpRows.Observe(float64(len(hotIDs)))
+	}
+	r.met.execOpRows.Observe(float64(len(res.IDs)))
+	tr.Add("exec_operators", operators)
 	return res, nil
 }
 
@@ -1602,7 +1407,7 @@ type Stats struct {
 	WALReplayedPoints int64 `json:"wal_replayed_points"`
 	// OrphansRemoved is how many unreferenced data files startup deleted.
 	OrphansRemoved int64 `json:"orphans_removed"`
-	// Window reports the window range-executor's planner telemetry.
+	// Window reports the window plans' zone-map and operator telemetry.
 	Window WindowStats `json:"window"`
 	// Admission reports the overload valve: per-class in-flight /
 	// shed counters and client-quota rejections.
@@ -1668,9 +1473,8 @@ type WindowStats struct {
 	SegmentsSkipped int64 `json:"segments_skipped"`
 	CellsScanned    int64 `json:"cells_scanned"`
 	CellsSkipped    int64 `json:"cells_skipped"`
-	// Plans and Operators count iterator-executor window plans and the
-	// operators those plans composed (zero while the fused executor
-	// serves).
+	// Plans and Operators count window plans and the operators those
+	// plans composed.
 	Plans     int64 `json:"plans"`
 	Operators int64 `json:"operators"`
 }
