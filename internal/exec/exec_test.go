@@ -149,7 +149,7 @@ func TestPipelineMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestHotScanAndMergeColumns(t *testing.T) {
+func TestHotScan(t *testing.T) {
 	ctx := context.Background()
 	cols := []Column{
 		{Tick: 5, IDs: []traj.ID{3, 7}},
@@ -163,45 +163,6 @@ func TestHotScanAndMergeColumns(t *testing.T) {
 	want := []Column{{Tick: 5, IDs: []traj.ID{3, 7}}, {Tick: 7, IDs: []traj.ID{1}}}
 	if !reflect.DeepEqual(got.Cols, want) {
 		t.Fatalf("hot scan: %v", got.Cols)
-	}
-
-	merged := MergeColumns(
-		[]Column{{Tick: 1, IDs: []traj.ID{2, 4}}, {Tick: 3, IDs: []traj.ID{9}}},
-		[]Column{{Tick: 2, IDs: []traj.ID{5}}, {Tick: 3, IDs: []traj.ID{4, 9}}},
-	)
-	wantM := []Column{
-		{Tick: 1, IDs: []traj.ID{2, 4}},
-		{Tick: 2, IDs: []traj.ID{5}},
-		{Tick: 3, IDs: []traj.ID{4, 9}},
-	}
-	if !reflect.DeepEqual(merged, wantM) {
-		t.Fatalf("merge: %v", merged)
-	}
-}
-
-func TestLimitTruncates(t *testing.T) {
-	ctx := context.Background()
-	cols := []Column{
-		{Tick: 1, IDs: []traj.ID{1, 2, 3}},
-		{Tick: 2, IDs: []traj.ID{4, 5}},
-		{Tick: 3, IDs: []traj.ID{6}},
-	}
-	for limit, wantRows := range map[int]int{0: 0, 2: 2, 4: 4, 100: 6} {
-		it := Limit(ctx, NewHotScan(ctx, cols), limit)
-		rows := 0
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			rows += b.Rows()
-		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		if rows != wantRows {
-			t.Fatalf("limit %d emitted %d rows, want %d", limit, rows, wantRows)
-		}
 	}
 }
 

@@ -141,52 +141,6 @@ func AppendIDs(in Iterator, from, to int, dst []traj.ID) ([]traj.ID, error) {
 	return dst, err
 }
 
-// DistinctIDs drains in and returns the distinct trajectory IDs across
-// every tick, ascending — the "which trajectories appeared at all"
-// sink.
-func DistinctIDs(in Iterator, from, to int) ([]traj.ID, error) {
-	var ids []traj.ID
-	if err := drain(in, from, to, func(_ int, batch []traj.ID) {
-		ids = append(ids, batch...)
-	}); err != nil {
-		return nil, err
-	}
-	slices.Sort(ids)
-	return traj.DedupSorted(ids), nil
-}
-
-// MergeColumns merges per-pipeline column sets (each ascending by tick)
-// into one, concatenating and re-deduplicating ticks present in more
-// than one set. Inputs whose tick ranges are disjoint — the planner's
-// span-split guarantee — merge without any per-ID work.
-func MergeColumns(sets ...[]Column) []Column {
-	var out []Column
-	for _, s := range sets {
-		out = append(out, s...)
-	}
-	slices.SortFunc(out, func(a, b Column) int { return cmp.Compare(a.Tick, b.Tick) })
-	w := 0
-	for i := 0; i < len(out); {
-		j := i + 1
-		for j < len(out) && out[j].Tick == out[i].Tick {
-			j++
-		}
-		col := out[i]
-		if j > i+1 {
-			merged := slices.Clone(col.IDs)
-			for _, c := range out[i+1 : j] {
-				merged = append(merged, c.IDs...)
-			}
-			slices.Sort(merged)
-			col.IDs = traj.DedupSorted(merged)
-		}
-		out[w] = col
-		w++
-		i = j
-	}
-	return out[:w]
-}
-
 // drain pulls in to exhaustion, forwarding every in-span posting.
 func drain(in Iterator, from, to int, emit func(tick int, ids []traj.ID)) error {
 	for {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -332,7 +331,7 @@ func TestFaultInjectedBurstDegradesCleanly(t *testing.T) {
 	}
 	for key := range acked {
 		c, tick := key[0], key[1]
-		ans, err := repo2.strqTick(context.Background(), geo.NewRect(-1, -1, 1, 1), tick, false)
+		ans, err := perTickSTRQ(repo2, geo.NewRect(-1, -1, 1, 1), tick, false)
 		if err != nil {
 			t.Fatal(err)
 		}

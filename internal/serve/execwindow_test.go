@@ -233,9 +233,9 @@ func TestExecutorCancellation(t *testing.T) {
 	}
 }
 
-// BenchmarkWindow times warm whole-history windows on one flushed
-// repository, for profiling the window plan.
-func BenchmarkWindow(b *testing.B) {
+// openFlushedRepo builds the benchmark repository: every test column
+// ingested and flushed into sealed segments.
+func openFlushedRepo(b *testing.B) (*Repository, []*traj.Column) {
 	d, cols := testData(b)
 	opts := testOptions(d)
 	opts.CompactInterval = time.Hour
@@ -243,7 +243,7 @@ func BenchmarkWindow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer repo.Close()
+	b.Cleanup(func() { repo.Close() })
 	for _, col := range cols {
 		if err := repo.IngestColumn(col); err != nil {
 			b.Fatal(err)
@@ -252,6 +252,13 @@ func BenchmarkWindow(b *testing.B) {
 	if err := repo.Flush(); err != nil {
 		b.Fatal(err)
 	}
+	return repo, cols
+}
+
+// BenchmarkWindow times warm whole-history windows on one flushed
+// repository, for profiling the window plan.
+func BenchmarkWindow(b *testing.B) {
+	repo, cols := openFlushedRepo(b)
 	lastTick := cols[len(cols)-1].Tick
 	rects := windowRects(cols, 8, 13)
 	ctx := context.Background()
@@ -262,5 +269,35 @@ func BenchmarkWindow(b *testing.B) {
 		if _, err := repo.Window(ctx, rect, 0, lastTick, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSTRQ times warm probes at data-anchored points of sealed
+// ticks, one one-tick window plan per probe, in both modes.
+func BenchmarkSTRQ(b *testing.B) {
+	repo, cols := openFlushedRepo(b)
+	rng := rand.New(rand.NewSource(19))
+	reqs := make([]STRQRequest, 64)
+	for i := range reqs {
+		col := cols[rng.Intn(len(cols))]
+		reqs[i] = STRQRequest{P: col.Points[rng.Intn(col.Len())], Tick: col.Tick}
+	}
+	ctx := context.Background()
+	for _, mode := range []string{"approx", "exact"} {
+		b.Run(mode, func(b *testing.B) {
+			for i := range reqs {
+				reqs[i].Exact = mode == "exact"
+				if _, err := repo.STRQ(ctx, reqs[i]); err != nil { // warm the decoded-cell cache
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := repo.STRQ(ctx, reqs[i%len(reqs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"ppqtraj/internal/exec"
 	"ppqtraj/internal/geo"
 	"ppqtraj/internal/obs"
 	"ppqtraj/internal/traj"
@@ -237,38 +238,16 @@ func (h *hotTail) trim(bound int) {
 	}
 }
 
-// strqRectLocked answers the exact rectangle query over raw hot points:
-// IDs whose ingested position at tick lies inside rect. Hot data is
-// unquantized, so approximate and exact mode coincide and both have
-// precision and recall 1. The caller holds h.mu.RLock.
-func (h *hotTail) strqRectLocked(rect geo.Rect, tick int) (ids []traj.ID, covered bool) {
-	col := h.cols[tick]
-	if col == nil {
-		return nil, false
-	}
-	for i, id := range col.ids {
-		if rect.Contains(col.pts[i]) {
-			ids = append(ids, id)
-		}
-	}
-	return ids, true
-}
-
-// hotScanCol is one tick's hot-tail answer inside a range scan.
-type hotScanCol struct {
-	tick int
-	ids  []traj.ID
-}
-
 // scanRangeLocked answers the exact rectangle query for every resident
 // tick of [from, to] — the hot half of the repository's window query.
 // It returns the non-empty per-tick matches (IDs ascending, fresh
 // slices, so they outlive the lock), the number of resident ticks probed
-// (the Covered count a per-tick loop would have seen), and whether the
+// (the Covered count a per-tick probe would have seen), and whether the
 // span overlapped the tail's resident tick range at all (the planner's
-// "sources" accounting, which counts overlap, not residency). The caller
-// holds h.mu.RLock.
-func (h *hotTail) scanRangeLocked(rect geo.Rect, from, to int) (cols []hotScanCol, covered int, overlaps bool) {
+// "sources" accounting, which counts overlap, not residency). Hot data
+// is unquantized, so approximate and exact mode coincide and both have
+// precision and recall 1. The caller holds h.mu.RLock.
+func (h *hotTail) scanRangeLocked(rect geo.Rect, from, to int) (cols []exec.Column, covered int, overlaps bool) {
 	lo, hi, ok := h.tickSpanLocked()
 	if !ok {
 		return nil, 0, false
@@ -288,7 +267,7 @@ func (h *hotTail) scanRangeLocked(rect geo.Rect, from, to int) (cols []hotScanCo
 			}
 		}
 		if len(ids) > 0 {
-			cols = append(cols, hotScanCol{tick: t, ids: ids})
+			cols = append(cols, exec.Column{Tick: t, IDs: ids})
 		}
 	}
 	return cols, covered, overlaps

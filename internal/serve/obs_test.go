@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppqtraj/internal/geo"
 	"ppqtraj/internal/obs"
 )
 
@@ -309,6 +310,79 @@ func TestTraceInline(t *testing.T) {
 		t.Fatalf("trace leaked into un-traced response: %s", blob)
 	}
 }
+
+// TestSTRQLeavesWindowTelemetry checks that probes, though they run the
+// window plan over one tick, are not counted as windows: a Batch over
+// sealed and hot ticks leaves Stats().Window and every ppq_window_* and
+// ppq_exec_* series unchanged, and a traced /v1/query carries none of
+// the window plan's stage laps.
+func TestSTRQLeavesWindowTelemetry(t *testing.T) {
+	repo, srv := obsServer(t, nil)
+	for tick := 0; tick < 25; tick++ {
+		if resp, blob := obsPost(t, srv.URL+"/v1/ingest", obsIngestBody(tick, 1, 40)); resp.StatusCode != 200 {
+			t.Fatalf("ingest: %d %s", resp.StatusCode, blob)
+		}
+		if tick == 19 {
+			if err := repo.Flush(); err != nil { // sealed ticks 0..19, hot 20..24
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, blob := obsPost(t, srv.URL+"/v1/window",
+		`{"rect":{"MinX":-9,"MinY":41,"MaxX":-8,"MaxY":42},"from":0,"to":24}`); !strings.Contains(string(blob), `"ids":[`) {
+		t.Fatalf("window found nothing: %s", blob)
+	}
+	windowSeries := func() string {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var out []string
+		for _, line := range strings.Split(string(blob), "\n") {
+			if strings.HasPrefix(line, "ppq_window_") || strings.HasPrefix(line, "ppq_exec_") {
+				out = append(out, line)
+			}
+		}
+		return strings.Join(out, "\n")
+	}
+	beforeStats, beforeSeries := repo.Stats().Window, windowSeries()
+
+	var reqs []STRQRequest
+	for _, tick := range []int{3, 19, 20, 24} {
+		reqs = append(reqs, STRQRequest{P: obs0(tick), Tick: tick}, STRQRequest{P: obs0(tick), Tick: tick, PathLen: 2})
+	}
+	for i, ans := range repo.Batch(t.Context(), reqs) {
+		if ans.Err != "" || len(ans.IDs) == 0 {
+			t.Fatalf("probe %d (tick %d): %+v", i, reqs[i].Tick, ans)
+		}
+	}
+	_, blob := obsPost(t, srv.URL+"/v1/query?trace=1", obsQueryBody(5, 8))
+	var qr QueryResponse
+	if err := json.Unmarshal(blob, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Trace == nil {
+		t.Fatalf("no trace in %s", blob)
+	}
+	for _, s := range qr.Trace.Stages {
+		switch s.Name {
+		case "hot_scan", "plan", "segment_scan", "merge":
+			t.Errorf("probe trace carries window stage %q: %+v", s.Name, qr.Trace.Stages)
+		}
+	}
+
+	if after := repo.Stats().Window; after != beforeStats {
+		t.Errorf("probes moved the window stats: %+v -> %+v", beforeStats, after)
+	}
+	if after := windowSeries(); after != beforeSeries {
+		t.Errorf("probes moved the window/exec series:\n%s\n->\n%s", beforeSeries, after)
+	}
+}
+
+// obs0 is the position obsIngestBody gives its first trajectory at tick.
+func obs0(tick int) geo.Point { return geo.Pt(-8.6, 41.1+float64(tick)*1e-4) }
 
 // TestStatsConsistentSnapshot asserts /v1/stats is one coherent view:
 // the counters of a quiesced server reconcile with the workload exactly,

@@ -34,8 +34,8 @@ func windowRects(cols []*traj.Column, n int, seed int64) []geo.Rect {
 	return rects
 }
 
-// perTickWindow is Window's slow reference: one STRQRect probe per tick
-// through strqTick's routing, unioned, plus the ticks-probed and sources
+// perTickWindow is Window's slow reference: one perTickSTRQ probe per
+// tick, unioned, plus the ticks-probed and sources
 // accounting Window must reproduce. Sources assumes a quiescent
 // repository; the IDs and ticks of a span at or below the sealed
 // watermark are stable even under racing ingest and compaction.
@@ -52,7 +52,7 @@ func perTickWindow(repo *Repository, rect geo.Rect, from, to int, exact bool) (*
 	}
 	var ids []traj.ID
 	for tick := from; tick <= to; tick++ {
-		ans, err := repo.strqTick(context.Background(), rect, tick, exact)
+		ans, err := perTickSTRQ(repo, rect, tick, exact)
 		if err != nil {
 			return nil, err
 		}

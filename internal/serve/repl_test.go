@@ -436,7 +436,7 @@ func TestSlowFollowerNoGap(t *testing.T) {
 	waitCaughtUp(t, primary, follower, 30*time.Second)
 
 	// Stall the follower, then run the primary far ahead and seal+reclaim.
-	ft.DropNext(1 << 30, nil)
+	ft.DropNext(1<<30, nil)
 	for _, col := range cols[half:] {
 		if err := primary.IngestColumn(col); err != nil {
 			t.Fatal(err)

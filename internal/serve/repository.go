@@ -951,16 +951,6 @@ func (r *Repository) pin(hi int, hot func(sealed int)) readView {
 	return v
 }
 
-// findSegment returns the segment covering tick, or nil. Segments are
-// ascending and disjoint.
-func findSegment(segs []*Segment, tick int) *Segment {
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].EndTick >= tick })
-	if i < len(segs) && segs[i].Covers(tick) {
-		return segs[i]
-	}
-	return nil
-}
-
 // QueryCell maps a point to its repository query cell: the g_c cell of
 // the global origin-anchored grid. Anchoring the grid at the origin —
 // rather than at each segment's region rectangles — makes the query
@@ -1029,53 +1019,13 @@ type STRQAnswer struct {
 	Err        string           `json:"error,omitempty"`
 }
 
-// strqTick routes one rectangle probe to the tier owning the tick under
-// the request's pinned read view, so a concurrent compaction can never
-// move the tick out from under the probe.
-func (r *Repository) strqTick(ctx context.Context, cell geo.Rect, tick int, exact bool) (STRQAnswer, error) {
-	ans := STRQAnswer{Tick: tick, Cell: cell, Source: "none"}
-	if err := ctx.Err(); err != nil {
-		return ans, err
-	}
-	var (
-		hotIDs     []traj.ID
-		hotCovered bool
-	)
-	v := r.pin(tick, func(int) { hotIDs, hotCovered = r.hot.strqRectLocked(cell, tick) })
-	if tick > v.sealed {
-		if hotCovered {
-			ans.Covered = true
-			ans.IDs = hotIDs
-			ans.Candidates = len(hotIDs)
-			ans.Source = "hot"
-		}
-		return ans, nil
-	}
-	seg := findSegment(v.segs, tick)
-	if seg == nil {
-		return ans, nil
-	}
-	res, err := seg.Eng.STRQRect(ctx, cell, tick, exact, nil)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return ans, err
-		}
-		return ans, fmt.Errorf("serve: segment %d: %w", seg.ID, err)
-	}
-	ans.Covered = res.Covered
-	ans.IDs = res.IDs
-	ans.Candidates = res.Candidates
-	ans.Visited = res.Visited
-	ans.Source = fmt.Sprintf("segment:%d", seg.ID)
-	return ans, nil
-}
-
-// STRQ answers "who was in the query cell of p at tick". Ticks at or
-// below the sealed watermark route to the covering segment's engine
-// (approximate: recall 1 by the local-search guarantee; exact: verified
-// against raw storage); fresher ticks are answered exactly from the raw
-// hot tail. ctx bounds the work: a cancelled or expired context aborts
-// the query and returns the context error.
+// STRQ answers "who was in the query cell of p at tick" as a one-tick
+// window plan over the query cell (runPlan): ticks at or below the
+// sealed watermark go to the covering segment's scan (approximate:
+// recall 1 by the local-search guarantee; exact: verified against raw
+// storage), fresher ticks are answered exactly from the raw hot tail.
+// IDs are ascending. ctx bounds the work: a cancelled or expired
+// context aborts the query and returns the context error.
 func (r *Repository) STRQ(ctx context.Context, req STRQRequest) (*STRQAnswer, error) {
 	r.met.queries.Inc()
 	// Same rules as the HTTP layer, so programmatic callers get an error
@@ -1084,10 +1034,28 @@ func (r *Repository) STRQ(ctx context.Context, req STRQRequest) (*STRQAnswer, er
 		r.met.queryErrors.Inc()
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	ans, err := r.strqTick(ctx, r.QueryCell(req.P), req.Tick, req.Exact)
+	cell := r.QueryCell(req.P)
+	p, err := r.runPlan(ctx, cell, req.Tick, req.Tick, req.Exact, nil)
 	if err != nil {
 		r.met.queryErrors.Inc()
 		return nil, err
+	}
+	// A sealed tick lies in at most one segment, so the plan holds at
+	// most one scan.
+	ans := STRQAnswer{Tick: req.Tick, Cell: cell, Covered: p.ticks > 0, Source: "none"}
+	switch {
+	case req.Tick > p.view.sealed:
+		if ans.Covered {
+			ans.Source = "hot"
+		}
+		ans.IDs, ans.Candidates = p.hotIDs, len(p.hotIDs)
+	case len(p.ordered) == 1:
+		res := &p.results[0]
+		ans.Source = fmt.Sprintf("segment:%d", p.view.segs[p.ordered[0].ID].ID)
+		ans.IDs, ans.Candidates, ans.Visited = res.ids, res.candidates, res.visited
+		slices.Sort(ans.IDs) // the scan emits in cell order
+	case len(p.pruned) == 1: // zone-pruned: no resident can match
+		ans.Source = fmt.Sprintf("segment:%d", p.view.segs[p.pruned[0].ID].ID)
 	}
 	if req.PathLen > 0 && len(ans.IDs) > 0 {
 		ans.Paths = make(map[traj.ID]Path, len(ans.IDs))
@@ -1220,17 +1188,12 @@ type WindowResult struct {
 	AsOfTick int64 `json:"as_of_tick"`
 }
 
-// Window answers the window query with one composed plan per request:
-// the read view is pinned once (pin), the hot residual above its sealed
-// watermark is scanned under the hot tail's read lock as part of the
-// pin, the span is split at segment boundaries, segments whose zone map
-// cannot intersect the query's local-search area are skipped outright,
-// one iterator pipeline per surviving segment walks its postings once
-// for the whole sub-span (fanned out on the bounded worker pool), and
-// the flat ID streams are merged. Every tick is read from exactly one
-// tier of one consistent view, and AsOfTick is read under the same pin.
-// A cancelled or expired context aborts the scatter and returns the
-// context error.
+// Window answers the window query with one composed plan per request
+// (runPlan: one pinned view, the hot residual, the zone-map plan, one
+// iterator pipeline per surviving segment walking its postings once for
+// the whole sub-span) and merges the flat ID streams. AsOfTick is read
+// under the same pin. A cancelled or expired context aborts the scatter
+// and returns the context error.
 func (r *Repository) Window(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
 	// Counted at entry like STRQ, so query_errors can never exceed
 	// queries in the stats.
@@ -1248,86 +1211,33 @@ func (r *Repository) Window(ctx context.Context, rect geo.Rect, from, to int, ex
 	return res, nil
 }
 
-// windowRange is Window's planner and executor.
+// windowRange runs Window's plan and merges its per-shard ID streams,
+// recording the window and executor telemetry STRQ probes leave alone.
 func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
 	tr := obs.TraceFrom(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Hot residual: only ticks above the pinned watermark, read under the
-	// pin's hot-tail lock. Hot points are raw, so approximate and exact
-	// mode coincide.
-	var (
-		hotCols     []hotScanCol
-		hotCovered  int
-		hotOverlaps bool
-	)
-	v := r.pin(to, func(sealed int) {
-		hotCols, hotCovered, hotOverlaps = r.hot.scanRangeLocked(rect, max(from, sealed+1), to)
-	})
-	hotIDs, err := scanHot(ctx, hotCols, max(from, v.sealed+1), to, tr)
+	p, err := r.runPlan(ctx, rect, from, to, exact, tr)
 	if err != nil {
 		return nil, err
 	}
-	tr.Lap("hot_scan")
-
-	// Greedy statistics-free plan over the pinned segments: split the
-	// span at segment boundaries, score each sub-span by zone-map
-	// selectivity (populated-cell overlap × tick-span overlap), prune
-	// scans the zone map proves empty, and order the rest largest first
-	// so the parallel fan-out's tail stays short.
-	segs := v.segs
-	ordered, pruned := planWindow(segs, rect, from, to)
-	sources := len(ordered) + len(pruned)
-	if hotOverlaps {
+	scanned, skipped := len(p.ordered), len(p.pruned)
+	sources := scanned + skipped
+	if p.hotOverlaps {
 		sources++
 	}
-	skipped := len(pruned)
-	skippedTicks := 0
-	for _, p := range pruned {
-		skippedTicks += segs[p.ID].Eng.Idx.CoveredTicks(p.Span.Lo, p.Span.Hi)
-	}
-	tr.Lap("plan")
-
-	// One scan per surviving segment, on the same bounded pool Batch
-	// uses — a wide window over a long-lived repository can overlap
-	// hundreds of segments.
-	results := make([]shardResult, len(ordered))
-	errs := make([]error, len(ordered))
-	if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(ordered), 1, func(ctx context.Context, _, wlo, whi int) {
-		for i := wlo; i < whi; i++ {
-			sc := ordered[i]
-			results[i], errs[i] = scanShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("serve: segment %d: %w", segs[ordered[i].ID].ID, err)
-		}
-	}
-	tr.Lap("segment_scan")
-
-	r.met.winSegsScanned.Add(int64(len(ordered)))
+	r.met.winSegsScanned.Add(int64(scanned))
 	r.met.winSegsSkipped.Add(int64(skipped))
-	tr.Add("segments_scanned", int64(len(ordered)))
+	tr.Add("segments_scanned", int64(scanned))
 	tr.Add("segments_skipped", int64(skipped))
 
 	// Merge: flatten every column and sort-dedup once. Columns are
 	// per-tick ID sets, so the flat list is mostly runs of near-equal
 	// values — a single sort beats per-ID map inserts by a wide margin at
 	// window scale.
-	probed := skippedTicks + hotCovered
-	total := len(hotIDs)
+	total := len(p.hotIDs)
 	var scan index.ScanStats
 	var scanRows, verifyRows int64
-	for i := range results {
-		rr := &results[i]
-		probed += rr.covered
+	for i := range p.results {
+		rr := &p.results[i]
 		scan.Add(rr.scan)
 		scanRows += rr.scanRows
 		verifyRows += int64(rr.candidates)
@@ -1341,14 +1251,14 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	tr.Add("cache_misses", int64(scan.CacheMisses))
 	tr.Add("bytes_decoded", scan.DecodedBytes)
 	tr.Add("decode_us", scan.DecodeNanos/1e3)
-	tr.Add("ticks_probed", int64(probed))
+	tr.Add("ticks_probed", int64(p.ticks))
 	flat := make([]traj.ID, 0, total)
-	for i := range results {
-		flat = append(flat, results[i].ids...)
+	for i := range p.results {
+		flat = append(flat, p.results[i].ids...)
 	}
-	flat = append(flat, hotIDs...)
+	flat = append(flat, p.hotIDs...)
 	slices.Sort(flat)
-	res := &WindowResult{From: from, To: to, Ticks: probed, Sources: sources, SegmentsSkipped: skipped, AsOfTick: v.asOf}
+	res := &WindowResult{From: from, To: to, Ticks: p.ticks, Sources: sources, SegmentsSkipped: skipped, AsOfTick: p.view.asOf}
 	if len(flat) > 0 { // nil, not empty-but-allocated, keeps the JSON stable
 		res.IDs = traj.DedupSorted(flat)
 	}
@@ -1356,11 +1266,11 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 
 	// Executor telemetry: one plan, its operator count, and per-operator
 	// emitted-row aggregates (scan, verify, hot, merge).
-	operators := int64(len(ordered)) * 2 // scan + verify per shard
+	operators := int64(scanned) * 2 // scan + verify per shard
 	if exact {
-		operators += int64(len(ordered)) // exact-verify sink
+		operators += int64(scanned) // exact-verify sink
 	}
-	if hotOverlaps {
+	if p.hotOverlaps {
 		operators++
 	}
 	operators++ // the final merge
@@ -1369,8 +1279,8 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	r.met.execOpsPerPlan.Observe(float64(operators))
 	r.met.execOpRows.Observe(float64(scanRows))
 	r.met.execOpRows.Observe(float64(verifyRows))
-	if hotOverlaps {
-		r.met.execOpRows.Observe(float64(len(hotIDs)))
+	if p.hotOverlaps {
+		r.met.execOpRows.Observe(float64(len(p.hotIDs)))
 	}
 	r.met.execOpRows.Observe(float64(len(res.IDs)))
 	tr.Add("exec_operators", operators)

@@ -35,12 +35,12 @@ type File interface {
 // OSFS is the real filesystem.
 type OSFS struct{}
 
-func (OSFS) MkdirAll(dir string, perm os.FileMode) error    { return os.MkdirAll(dir, perm) }
-func (OSFS) ReadDir(dir string) ([]os.DirEntry, error)      { return os.ReadDir(dir) }
-func (OSFS) Truncate(name string, size int64) error         { return os.Truncate(name, size) }
-func (OSFS) Remove(name string) error                       { return os.Remove(name) }
-func (OSFS) Open(name string) (File, error)                 { return os.Open(name) }
-func (OSFS) SyncDir(dir string) error                       { return SyncDir(dir) }
+func (OSFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
+func (OSFS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
+func (OSFS) Truncate(name string, size int64) error      { return os.Truncate(name, size) }
+func (OSFS) Remove(name string) error                    { return os.Remove(name) }
+func (OSFS) Open(name string) (File, error)              { return os.Open(name) }
+func (OSFS) SyncDir(dir string) error                    { return SyncDir(dir) }
 func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }

@@ -180,13 +180,13 @@ type Record struct {
 // Stats is a point-in-time snapshot of the log (the /v1/stats wal
 // section).
 type Stats struct {
-	Segments        int   `json:"segments"`
-	Bytes           int64 `json:"bytes"`
-	Syncs           int64 `json:"syncs"`
-	Appends         int64 `json:"appended_records"`
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
+	Syncs    int64 `json:"syncs"`
+	Appends  int64 `json:"appended_records"`
 	// Commits counts successful SyncAlways commits; Commits/Syncs is the
 	// group-commit batching factor (acked batches per fsync).
-	Commits int64 `json:"commits"`
+	Commits         int64 `json:"commits"`
 	ReplayedRecords int64 `json:"replayed_records"`
 	ReplayedPoints  int64 `json:"replayed_points"`
 	Reclaimed       int64 `json:"reclaimed_segments"`
@@ -916,10 +916,11 @@ func (l *Log) bumpDurableRecsLocked(n int64) {
 // rotateLocked seals the active segment (fsync + close) and starts the
 // next one. Called with mu held.
 //
-//ppqvet:allow lockorder rotation must seal the old file before the segment
 // list swaps to the new one, and both have to happen atomically under mu —
 // a rotation is rare (once per SegmentBytes) and bounded, unlike the
 // per-commit sync path the fsync-outside-mu rule exists for.
+//
+//ppqvet:allow lockorder rotation must seal the old file before the segment
 func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return l.fail(fmt.Errorf("wal: rotate fsync: %w", err))
